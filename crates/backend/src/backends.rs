@@ -74,7 +74,7 @@ impl From<ClusterError> for BackendError {
 /// The session is the primary interface — the runtime submits tasks as it
 /// discovers them, handles [`Admission::Backpressured`](crate::Admission)
 /// when the engine's in-flight window is saturated, advances simulated
-/// time, drains [`SimEvent`](crate::SimEvent)s and finishes to collect the
+/// time, drains lifecycle span events and finishes to collect the
 /// report. The batch entry points [`ExecBackend::run`] /
 /// [`ExecBackend::run_with_stats`] are **default methods** implemented on
 /// top of a session (feed the whole trace, then finish), so every engine

@@ -79,7 +79,7 @@ pub use picos_metrics::{
     MergeRule, Metric, MetricSet, MetricValue, SeriesKind, SeriesSpec, Timeline,
 };
 pub use session::{
-    feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SessionOutput, SimEvent,
+    feed_range, feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SessionOutput,
     SimSession,
 };
 pub use snap::Snapshot;

@@ -21,7 +21,7 @@ use picos_trace::{SnapError, Value};
 use std::fmt;
 
 pub use picos_runtime::session::{
-    feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SimEvent,
+    feed_range, feed_trace, Admission, FeedStall, SessionConfig, SessionCore,
 };
 
 /// Everything a finished session reports: the schedule, the engine's
@@ -110,8 +110,9 @@ pub trait SimSession: SessionCore + Send + fmt::Debug {
     }
 
     /// Serializes the session's complete dynamic state — engine tables,
-    /// clock, in-flight work, ingest window, schedule/event logs, attached
-    /// telemetry — through the in-tree JSON codec. The snapshot embeds a
+    /// clock, in-flight work, ingest window, schedule log, attached
+    /// telemetry and span log with its drain cursor — through the in-tree
+    /// JSON codec. The snapshot embeds a
     /// configuration fingerprint, so it can only be restored into an
     /// identically-configured session.
     fn save_state(&self) -> Value;

@@ -2,8 +2,8 @@
 //!
 //! Every engine in the workspace is a deterministic state machine whose
 //! concrete sessions serialize their complete dynamic state — engine
-//! tables, clocks, in-flight work, ingest window, schedule/event logs,
-//! attached telemetry — through the in-tree codec
+//! tables, clocks, in-flight work, ingest window, schedule log, attached
+//! telemetry, span log and its drain cursor — through the in-tree codec
 //! ([`picos_trace::snap`]). `Snapshot` is the backend-level face of that
 //! subsystem, working uniformly on boxed [`SimSession`]s of any family:
 //!
@@ -88,13 +88,13 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::backends::{BackendSpec, ExecBackend};
-    use crate::session::{feed_trace, Admission, SessionConfig, SessionCore};
+    use crate::session::{feed_range, feed_trace, Admission, SessionConfig, SessionCore};
     use picos_core::PicosConfig;
     use picos_hil::HilMode;
     use picos_runtime::{replay_journal, replay_journal_tail, JournaledSession};
     use picos_trace::rng::SplitMix64;
     use picos_trace::{
-        gen, Dependence, JournalOp, KernelClass, SessionJournal, TaskDescriptor, TaskId, Trace,
+        gen, Dependence, JournalOp, KernelClass, SessionJournal, TaskDescriptor, TaskId,
     };
 
     /// Every engine family, plus a genuinely sharded cluster (the `ALL`
@@ -108,24 +108,6 @@ mod tests {
 
     fn build(spec: BackendSpec) -> Box<dyn ExecBackend> {
         spec.build(4, &PicosConfig::balanced())
-    }
-
-    /// Feeds `trace[range]` like the batch loop: the barrier at position
-    /// `i` is declared right before task `i`, backpressure drains via
-    /// `step`.
-    fn feed_range(s: &mut dyn SimSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            let task = &tr.tasks()[i];
-            loop {
-                match s.submit(task) {
-                    Admission::Accepted => break,
-                    Admission::Backpressured => assert!(s.step(), "feed stall at {i}"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -146,19 +128,51 @@ mod tests {
         for spec in families() {
             let b = build(spec);
             let mut cont = b.open_with(cfg).unwrap();
-            feed_range(&mut *cont, &tr, 0..tr.len());
+            feed_range(&mut *cont, &tr, 0..tr.len()).unwrap();
             let expected = cont.finish_full().unwrap();
             for cut in [0, tr.len() / 3, tr.len() - 1] {
                 let mut live = b.open_with(cfg).unwrap();
-                feed_range(&mut *live, &tr, 0..cut);
+                feed_range(&mut *live, &tr, 0..cut).unwrap();
                 let snap = Snapshot::capture(&*live);
                 let snap = Snapshot::from_json(&snap.to_json()).unwrap();
                 let mut restored = b.open_with(cfg).unwrap();
                 snap.restore(&mut *restored).unwrap();
-                feed_range(&mut *restored, &tr, cut..tr.len());
+                feed_range(&mut *restored, &tr, cut..tr.len()).unwrap();
                 let out = restored.finish_full().unwrap();
                 assert_eq!(out, expected, "{spec} cut {cut}");
             }
+        }
+    }
+
+    #[test]
+    fn restored_drain_cursor_resumes_where_the_snapshot_stopped() {
+        // A snapshot taken between two drains carries the span log's drain
+        // cursor: the restored session's next drain yields exactly what
+        // the continuous session's next drain does — nothing re-delivered,
+        // nothing skipped.
+        let tr = gen::stream(gen::StreamConfig::heavy(90));
+        let cfg = SessionConfig::windowed(12).with_spans();
+        let cut = tr.len() / 2;
+        for spec in families() {
+            let b = build(spec);
+            let mut cont = b.open_with(cfg).unwrap();
+            feed_range(&mut *cont, &tr, 0..cut).unwrap();
+            let mut first = Vec::new();
+            cont.drain_events(&mut first);
+            assert!(!first.is_empty(), "{spec}: the prefix recorded spans");
+            let snap = Snapshot::from_json(&Snapshot::capture(&*cont).to_json()).unwrap();
+            let mut restored = b.open_with(cfg).unwrap();
+            snap.restore(&mut *restored).unwrap();
+            let next = |s: &mut Box<dyn SimSession>| {
+                feed_range(&mut **s, &tr, cut..tr.len()).unwrap();
+                s.advance_to(1 << 40);
+                let mut out = Vec::new();
+                s.drain_events(&mut out);
+                out
+            };
+            let (want, got) = (next(&mut cont), next(&mut restored));
+            assert!(!want.is_empty(), "{spec}");
+            assert_eq!(got, want, "{spec}: next drain after restore");
         }
     }
 
@@ -169,19 +183,19 @@ mod tests {
         for spec in families() {
             let b = build(spec);
             let mut cont = b.open().unwrap();
-            feed_range(&mut *cont, &tr, 0..tr.len());
+            feed_range(&mut *cont, &tr, 0..tr.len()).unwrap();
             let expected = cont.finish_full().unwrap();
 
             let mut live = b.open().unwrap();
-            feed_range(&mut *live, &tr, 0..half);
+            feed_range(&mut *live, &tr, 0..half).unwrap();
             let baseline = live.save_state();
             let mut fork = live.fork_boxed();
-            feed_range(&mut *fork, &tr, half..tr.len());
+            feed_range(&mut *fork, &tr, half..tr.len()).unwrap();
             assert_eq!(fork.finish_full().unwrap(), expected, "{spec} fork");
             // Driving the replica must not have touched the original...
             assert_eq!(live.save_state(), baseline, "{spec} isolation");
             // ...which still finishes identically itself.
-            feed_range(&mut *live, &tr, half..tr.len());
+            feed_range(&mut *live, &tr, half..tr.len()).unwrap();
             assert_eq!(live.finish_full().unwrap(), expected, "{spec} original");
         }
     }
@@ -191,7 +205,7 @@ mod tests {
         let tr = gen::synthetic(gen::Case::Case2);
         let b = build(BackendSpec::Picos(HilMode::FullSystem));
         let mut live = b.open().unwrap();
-        feed_range(&mut *live, &tr, 0..tr.len());
+        feed_range(&mut *live, &tr, 0..tr.len()).unwrap();
         let snap = Snapshot::capture(&*live);
         // Same family, different worker count.
         let mut other = BackendSpec::Picos(HilMode::FullSystem)

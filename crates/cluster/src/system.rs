@@ -38,11 +38,10 @@ use crate::config::{home_shard, ClusterConfig, ClusterError, ShardPolicy};
 use crate::fault::{FaultCounters, FaultPlan, FaultState, Packet};
 use picos_core::{FinishedReq, PicosSystem, SlotRef, Stats};
 use picos_hil::Link;
-use picos_metrics::span::{SpanKind, SpanLog};
+use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
 use picos_runtime::session::{
-    feed_trace, Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig,
-    SessionCore, SimEvent,
+    feed_trace, Admission, EventLoopCore, Ingest, ScheduleLog, SessionConfig, SessionCore,
 };
 use picos_runtime::ExecReport;
 use picos_trace::{Dependence, TaskDescriptor, TaskId, Trace};
@@ -137,7 +136,6 @@ pub struct ClusterSession {
     touched: Vec<bool>,
     ingest: Ingest,
     log: ScheduleLog,
-    events: EventLog,
     /// Messages ever sent into each shard's ingress link (cumulative; the
     /// windowed-delta probe of the interconnect series).
     link_sent: Vec<u64>,
@@ -240,7 +238,6 @@ impl ClusterSession {
             touched: vec![false; k],
             ingest: Ingest::new(session.window),
             log: ScheduleLog::default(),
-            events: EventLog::new(session.collect_events),
             link_sent: vec![0; k],
             sampler,
             spans,
@@ -353,7 +350,6 @@ impl ClusterSession {
         } else {
             self.log.begin(task, st, dur)
         };
-        self.events.push(SimEvent::TaskStarted { task, at: st });
         if let Some(log) = &mut self.spans {
             log.record(SpanKind::Dispatched, self.t, s as u16, task, 0);
             log.record(SpanKind::Started, st, s as u16, task, 0);
@@ -383,11 +379,6 @@ impl ClusterSession {
         if let Some(log) = &mut self.spans {
             log.record(SpanKind::MsgSend, self.t, from as u16, task, id);
         }
-        self.events.push(SimEvent::ShardMsg {
-            from: from as u16,
-            to: to as u16,
-            at: self.t,
-        });
     }
 
     /// Handles one delivered interconnect message at shard `s` — the
@@ -570,7 +561,6 @@ impl EventLoopCore for ClusterSession {
             }
             for (from, to) in f.pump_retries(t, &mut self.links) {
                 self.link_sent[to as usize] += 1;
-                self.events.push(SimEvent::ShardMsg { from, to, at: t });
                 if let Some(log) = &mut self.spans {
                     log.record(SpanKind::MsgRetry, t, from, u32::MAX, 0);
                 }
@@ -589,7 +579,6 @@ impl EventLoopCore for ClusterSession {
                     self.send_msg(&mut faults, s, r, ClusterMsg::Finish { task }, 1);
                 }
                 self.ingest.finished += 1;
-                self.events.push(SimEvent::TaskFinished { task, at: t });
                 if let Some(log) = &mut self.spans {
                     log.record(SpanKind::Finished, t, s as u16, task, 0);
                 }
@@ -809,8 +798,10 @@ impl SessionCore for ClusterSession {
         self.ingest.in_flight()
     }
 
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        self.events.drain_into(out);
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>) {
+        if let Some(log) = &mut self.spans {
+            log.drain_new(out);
+        }
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -875,6 +866,7 @@ pub fn run_cluster_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picos_runtime::session::feed_range;
     use picos_trace::gen;
     use picos_trace::TaskGraph;
 
@@ -1016,34 +1008,29 @@ mod tests {
         let tr = gen::stream(gen::StreamConfig::heavy(200));
         let mut s = ClusterSession::new(
             ClusterConfig::balanced(4, 8),
-            SessionConfig {
-                collect_events: true,
-                ..SessionConfig::batch()
-            },
+            SessionConfig::batch().with_spans(),
         )
         .unwrap();
         feed_trace(&mut s, &tr).unwrap();
         let mut events = Vec::new();
-        // Settle nothing yet: events materialize as the session runs.
+        // Events materialize as the session runs: drain both before and
+        // after running it to quiescence.
         s.drain_events(&mut events);
+        s.advance_to(u64::MAX / 2);
+        s.drain_events(&mut events);
+        let (r, _) = s.into_report().unwrap();
         let n = tr.len();
-        let (r, _) = {
-            let mut s = s;
-            s.advance_to(u64::MAX / 2);
-            s.drain_events(&mut events);
-            s.into_report().unwrap()
-        };
         assert_eq!(r.order.len(), n);
-        let shard_msgs = events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::ShardMsg { .. }))
-            .count();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::TaskStarted { .. }))
-            .count();
-        assert!(shard_msgs > 0, "a 4-shard run must cross the interconnect");
-        assert_eq!(starts, n, "every task start must be reported");
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+        assert!(
+            count(SpanKind::MsgSend) > 0,
+            "a 4-shard run must cross the interconnect"
+        );
+        assert_eq!(
+            count(SpanKind::Started),
+            n,
+            "every task start must be reported"
+        );
     }
 
     #[test]
@@ -1081,26 +1068,25 @@ mod tests {
         let tr = gen::stream(gen::StreamConfig::heavy(300));
         let collect = |threads: usize| {
             let cfg = ClusterConfig::balanced(4, 12).with_threads(threads);
-            let mut s = ClusterSession::new(
-                cfg,
-                SessionConfig {
-                    collect_events: true,
-                    ..SessionConfig::batch()
-                },
-            )
-            .unwrap();
+            let mut s = ClusterSession::new(cfg, SessionConfig::batch().with_spans()).unwrap();
             feed_trace(&mut s, &tr).unwrap();
             s.advance_to(u64::MAX / 2);
+            let mut drained = SpanLog::new();
             let mut events = Vec::new();
             s.drain_events(&mut events);
-            (events, s.into_report().unwrap())
+            for e in events {
+                drained.record(e.kind, e.at, e.shard, e.task, e.arg);
+            }
+            drained.canonical_sort();
+            (drained, s.into_report().unwrap())
         };
         let (serial_events, serial_report) = collect(1);
         let (par_events, par_report) = collect(4);
         assert_eq!(serial_report, par_report);
+        assert!(!serial_events.is_empty());
         assert_eq!(
             serial_events, par_events,
-            "the merged event stream must reproduce serial order"
+            "lanes must record the serial engine's event multiset"
         );
     }
 
@@ -1199,20 +1185,6 @@ mod tests {
         assert_eq!(total.tasks_submitted, total.tasks_completed);
     }
 
-    /// Feeds tasks `range` of the trace, honoring its taskwait barriers
-    /// and draining backpressure — the prefix-replay driver of the
-    /// snapshot tests.
-    fn feed_range(s: &mut ClusterSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
-    }
-
     #[test]
     fn snapshot_restore_equals_continuous() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
@@ -1221,8 +1193,8 @@ mod tests {
         for pause in [0, 9, tr.len() / 2] {
             let mut cont = ClusterSession::new(cfg.clone(), scfg).unwrap();
             let mut live = ClusterSession::new(cfg.clone(), scfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
 
             // Snapshot through the JSON text codec, restore into a fresh
             // identically-configured session.
@@ -1231,8 +1203,8 @@ mod tests {
             let mut restored = ClusterSession::new(cfg.clone(), scfg).unwrap();
             restored.load_state(&snap).unwrap();
 
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let a = cont.into_output().unwrap();
             let b = restored.into_output().unwrap();
             assert_eq!(a, b, "pause {pause}");
@@ -1258,16 +1230,16 @@ mod tests {
         for pause in [0, tr.len() / 3, tr.len() - 1] {
             let mut cont = ClusterSession::new(cfg.clone(), scfg).unwrap();
             let mut live = ClusterSession::new(cfg.clone(), scfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
 
             let text = picos_trace::snap::value_to_json(&live.save_state());
             let snap = picos_trace::snap::value_from_json(&text).unwrap();
             let mut restored = ClusterSession::new(cfg.clone(), scfg).unwrap();
             restored.load_state(&snap).unwrap();
 
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let a = cont.into_output().unwrap();
             let b = restored.into_output().unwrap();
             assert_eq!(a, b, "pause {pause}");
@@ -1290,12 +1262,12 @@ mod tests {
         let par_cfg = ClusterConfig::balanced(4, 12).with_threads(4);
 
         let mut live = ClusterSession::new(par_cfg.clone(), SessionConfig::windowed(32)).unwrap();
-        feed_range(&mut live, &tr, 0..cut);
+        feed_range(&mut live, &tr, 0..cut).unwrap();
         live.advance_to(live.now() + 1_000);
         let snap = live.save_state();
 
         let finish = |mut s: ClusterSession| {
-            feed_range(&mut s, &tr, cut..tr.len());
+            feed_range(&mut s, &tr, cut..tr.len()).unwrap();
             s.into_report().unwrap()
         };
         let mut into_serial = ClusterSession::new(serial_cfg, SessionConfig::windowed(32)).unwrap();
@@ -1310,11 +1282,11 @@ mod tests {
         let tr = gen::stream(gen::StreamConfig::heavy(250));
         let cfg = ClusterConfig::balanced(3, 9);
         let mut orig = ClusterSession::new(cfg, SessionConfig::batch()).unwrap();
-        feed_range(&mut orig, &tr, 0..100);
+        feed_range(&mut orig, &tr, 0..100).unwrap();
         let baseline = orig.save_state();
 
         let mut fork = orig.clone();
-        feed_range(&mut fork, &tr, 100..tr.len());
+        feed_range(&mut fork, &tr, 100..tr.len()).unwrap();
         let forked = fork.into_report().unwrap();
 
         // Driving the fork to completion left the original untouched.
@@ -1322,7 +1294,7 @@ mod tests {
             picos_trace::snap::value_to_json(&orig.save_state()),
             picos_trace::snap::value_to_json(&baseline)
         );
-        feed_range(&mut orig, &tr, 100..tr.len());
+        feed_range(&mut orig, &tr, 100..tr.len()).unwrap();
         assert_eq!(orig.into_report().unwrap(), forked);
     }
 
@@ -1331,7 +1303,7 @@ mod tests {
         let tr = gen::stream(gen::StreamConfig::heavy(60));
         let mut live =
             ClusterSession::new(ClusterConfig::balanced(3, 9), SessionConfig::batch()).unwrap();
-        feed_range(&mut live, &tr, 0..tr.len());
+        feed_range(&mut live, &tr, 0..tr.len()).unwrap();
         let snap = live.save_state();
 
         // Different shard count: fingerprint mismatch.

@@ -27,7 +27,11 @@
 //! stamps that key on everything it emits; the coordinator sorts and
 //! replays, which also reproduces the link's internal `free_at`/sequence
 //! evolution — and therefore every future delivery time — bit-for-bit.
-//! Schedule-log order and the event stream are merged under the same keys.
+//! Schedule-log order is merged under the same keys. Span events are
+//! observation-only and never feed back into the simulation, so lanes
+//! record them into their own logs, appended to the session log lane by
+//! lane when the drive ends: the same event multiset as the serial engine
+//! in a different order, equal after [`SpanLog::canonical_sort`].
 //! Same-time rounds are lane-local by construction (a lane's round `r`
 //! work can only be caused by its own round `r - 1` work, since everything
 //! remote is at least `L` away), so per-lane round counters agree with the
@@ -61,16 +65,16 @@ use picos_hil::Link;
 use picos_metrics::span::{SpanKind, SpanLog};
 use picos_metrics::WindowSampler;
 use picos_runtime::par::{available_threads, DisjointSlice, PhaseCell, SpinBarrier};
-use picos_runtime::session::{EventLog, EventLoopCore, ScheduleLog, SimEvent};
+use picos_runtime::session::{EventLoopCore, ScheduleLog};
 use picos_trace::{Dependence, TaskId};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// Pump-phase tags, in serial pump order at one event time: worker
-/// completions (`Finish` sends, `TaskFinished` events) come before
-/// execution (`Ready` sends, `TaskStarted` events). Deliveries and ingress
-/// sit between but emit nothing, so two tags suffice.
+/// completions (`Finish` sends) come before execution (`Ready` sends).
+/// Deliveries and ingress sit between but send nothing, so two tags
+/// suffice.
 const PH_FINISH: u8 = 0;
 const PH_EXEC: u8 = 1;
 
@@ -97,16 +101,6 @@ struct StartRec {
     dur: u64,
 }
 
-/// A simulation event recorded by a lane, merged into the global stream.
-struct EvRec {
-    t: u64,
-    round: u32,
-    phase: u8,
-    lane: u16,
-    seq: u32,
-    ev: SimEvent,
-}
-
 /// One task's remote registrations: `(home shard, fragment)` pairs.
 type RemoteFrags = Vec<(u16, Arc<[Dependence]>)>;
 
@@ -121,7 +115,6 @@ struct World<'a> {
     local_popped: DisjointSlice<'a, bool>,
     local_slot: DisjointSlice<'a, SlotRef>,
     dispatch: u64,
-    collect_events: bool,
     /// Test hook: the lane id that must panic on its first epoch, so the
     /// caught-panic path is exercisable without corrupting real state.
     test_panic: Option<u16>,
@@ -140,7 +133,6 @@ struct Lane {
     exec_q: VecDeque<u32>,
     outbox: Vec<OutMsg>,
     starts: Vec<StartRec>,
-    events: Vec<EvRec>,
     /// Lane-local span recorder (present iff the session records spans).
     /// Lanes stamp the same absolute cycles the serial pump would, so the
     /// concatenated, canonically sorted log is thread-count independent.
@@ -157,7 +149,6 @@ struct Lane {
 /// plus reusable merge scratch.
 struct MergeState<'a> {
     log: &'a mut ScheduleLog,
-    events: &'a mut EventLog,
     link_sent: &'a mut [u64],
     finished: &'a mut usize,
     clock: &'a mut u64,
@@ -172,7 +163,6 @@ struct MergeState<'a> {
     caps: Vec<usize>,
     sends: Vec<OutMsg>,
     starts: Vec<StartRec>,
-    evs: Vec<EvRec>,
 }
 
 /// Epoch control block, written by the coordinator between barriers.
@@ -224,22 +214,6 @@ impl Lane {
         });
     }
 
-    fn event(&mut self, t: u64, round: u32, phase: u8, ev: SimEvent, w: &World<'_>) {
-        if !w.collect_events {
-            return;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(EvRec {
-            t,
-            round,
-            phase,
-            lane: self.id,
-            seq,
-            ev,
-        });
-    }
-
     fn start_task(&mut self, t: u64, round: u32, task: u32, slot: SlotRef, w: &World<'_>) {
         let start = t + w.dispatch;
         let dur = w.durs[task as usize];
@@ -254,13 +228,6 @@ impl Lane {
             start,
             dur,
         });
-        self.event(
-            t,
-            round,
-            PH_EXEC,
-            SimEvent::TaskStarted { task, at: start },
-            w,
-        );
         if let Some(log) = &mut self.spans {
             log.record(SpanKind::Dispatched, t, self.id, task, 0);
             log.record(SpanKind::Started, start, self.id, task, 0);
@@ -288,29 +255,11 @@ impl Lane {
             for ri in 0..w.remote[task as usize].len() {
                 let r = w.remote[task as usize][ri].0;
                 self.out(t, round, PH_FINISH, r, 1, ClusterMsg::Finish { task });
-                self.event(
-                    t,
-                    round,
-                    PH_FINISH,
-                    SimEvent::ShardMsg {
-                        from: s,
-                        to: r,
-                        at: t,
-                    },
-                    w,
-                );
                 if let Some(log) = &mut self.spans {
                     log.record(SpanKind::MsgSend, t, s, task, 0);
                 }
             }
             self.finished += 1;
-            self.event(
-                t,
-                round,
-                PH_FINISH,
-                SimEvent::TaskFinished { task, at: t },
-                w,
-            );
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Finished, t, s, task, 0);
             }
@@ -394,17 +343,6 @@ impl Lane {
                 self.slot_at.insert(task, rt.slot);
                 let p = w.placement[ti];
                 self.out(t, round, PH_EXEC, p, 1, ClusterMsg::Ready { task });
-                self.event(
-                    t,
-                    round,
-                    PH_EXEC,
-                    SimEvent::ShardMsg {
-                        from: s,
-                        to: p,
-                        at: t,
-                    },
-                    w,
-                );
                 if let Some(log) = &mut self.spans {
                     log.record(SpanKind::MsgSend, t, s, task, 0);
                 }
@@ -490,11 +428,9 @@ fn probe_lanes(lanes: &[Lane], caps: &[usize], link_sent: &[u64], out: &mut [u64
 fn merge_epoch(lanes: &mut [Lane], m: &mut MergeState<'_>) {
     m.sends.clear();
     m.starts.clear();
-    m.evs.clear();
     for lane in lanes.iter_mut() {
         m.sends.append(&mut lane.outbox);
         m.starts.append(&mut lane.starts);
-        m.evs.append(&mut lane.events);
         *m.finished += lane.finished;
         lane.finished = 0;
         *m.clock = (*m.clock).max(lane.now);
@@ -517,11 +453,6 @@ fn merge_epoch(lanes: &mut [Lane], m: &mut MergeState<'_>) {
         .sort_unstable_by_key(|r| (r.t, r.round, r.lane, r.seq));
     for r in m.starts.drain(..) {
         m.log.begin(r.task, r.start, r.dur);
-    }
-    m.evs
-        .sort_unstable_by_key(|e| (e.t, e.round, e.phase, e.lane, e.seq));
-    for e in m.evs.drain(..) {
-        m.events.push(e.ev);
     }
 }
 
@@ -729,7 +660,6 @@ impl ClusterSession {
                 exec_q: exec_q.next().expect("k shards"),
                 outbox: Vec::new(),
                 starts: Vec::new(),
-                events: Vec::new(),
                 spans: self.spans.as_ref().map(|_| SpanLog::new()),
                 finished: 0,
                 now: self.t,
@@ -745,13 +675,11 @@ impl ClusterSession {
             local_popped: DisjointSlice::new(&mut self.local_popped),
             local_slot: DisjointSlice::new(&mut self.local_slot),
             dispatch: self.cfg.dispatch,
-            collect_events: self.events.is_enabled(),
             test_panic: test_lane_panic(),
         };
         let caps: Vec<usize> = (0..k).map(|s| self.cfg.shard_workers(s)).collect();
         let mut merge = MergeState {
             log: &mut self.log,
-            events: &mut self.events,
             link_sent: &mut self.link_sent,
             finished: &mut self.ingest.finished,
             clock: &mut self.t,
@@ -759,7 +687,6 @@ impl ClusterSession {
             caps,
             sends: Vec::new(),
             starts: Vec::new(),
-            evs: Vec::new(),
         };
         // The configured count caps OS threads; the machine caps them
         // further (spawning beyond the cores only adds barrier traffic,

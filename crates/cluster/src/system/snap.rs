@@ -212,7 +212,6 @@ impl ClusterSession {
             })
             .val(self.ingest.save_state())
             .val(self.log.save_state())
-            .val(self.events.save_state())
             .val(match &self.sampler {
                 Some(s) => s.save_state(),
                 None => Value::Null,
@@ -338,7 +337,6 @@ impl ClusterSession {
         }
         self.ingest.load_state(d.val()?)?;
         self.log.load_state(d.val()?)?;
-        self.events.load_state(d.val()?)?;
         self.sampler = match d.val()? {
             Value::Null => None,
             v => Some(WindowSampler::load_state(v)?),

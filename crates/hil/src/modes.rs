@@ -18,11 +18,10 @@
 use crate::cost::HilCostModel;
 use crate::pool::{Bus, BusMsg, Workers};
 use picos_core::{FinishedReq, PicosConfig, PicosSystem, SlotRef};
-use picos_metrics::span::{SpanKind, SpanLog};
+use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
 use picos_runtime::session::{
-    feed_trace, Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig,
-    SessionCore, SimEvent,
+    feed_trace, Admission, EventLoopCore, Ingest, ScheduleLog, SessionConfig, SessionCore,
 };
 use picos_runtime::ExecReport;
 use picos_trace::snap::{Dec, Enc, SnapError};
@@ -221,7 +220,6 @@ pub struct HilSession {
     recoveries: u64,
     ingest: Ingest,
     log: ScheduleLog,
-    events: EventLog,
     /// Platform-level telemetry (worker occupancy, bus occupancy); the
     /// core's own sampler rides inside `sys`. `None` keeps every clock
     /// move sampling-free.
@@ -285,7 +283,6 @@ impl HilSession {
             recoveries: 0,
             ingest: Ingest::new(session.window),
             log: ScheduleLog::default(),
-            events: EventLog::new(session.collect_events),
             sampler,
             spans,
             mode,
@@ -354,7 +351,6 @@ impl HilSession {
             } else {
                 self.log.begin(task, st, dur)
             };
-            self.events.push(SimEvent::TaskStarted { task, at: st });
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Started, st, 0, task, 0);
             }
@@ -373,7 +369,6 @@ impl HilSession {
                 slot,
             });
             self.ingest.finished += 1;
-            self.events.push(SimEvent::TaskFinished { task, at: t });
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Finished, t, 0, task, 0);
             }
@@ -396,7 +391,6 @@ impl HilSession {
             let st = t + self.cfg.cost.dispatch;
             let task = r.task.raw();
             let end = self.log.begin(task, st, self.tasks[r.task.index()].dur);
-            self.events.push(SimEvent::TaskStarted { task, at: st });
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Dispatched, t, 0, task, 0);
                 log.record(SpanKind::Started, st, 0, task, 0);
@@ -414,7 +408,6 @@ impl HilSession {
         while let Some((task, slot)) = self.workers.pop_done_at(t) {
             bus.send(t, BusMsg::Finish(task, slot));
             self.ingest.finished += 1;
-            self.events.push(SimEvent::TaskFinished { task, at: t });
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Finished, t, 0, task, 0);
             }
@@ -438,7 +431,6 @@ impl HilSession {
                         continue;
                     }
                     let end = self.log.begin(task, t, self.tasks[task as usize].dur);
-                    self.events.push(SimEvent::TaskStarted { task, at: t });
                     if let Some(log) = &mut self.spans {
                         log.record(SpanKind::Started, t, 0, task, 0);
                     }
@@ -487,7 +479,6 @@ impl HilSession {
         while let Some((task, slot)) = self.workers.pop_done_at(t) {
             self.finish_q.push_back((task, slot));
             self.ingest.finished += 1;
-            self.events.push(SimEvent::TaskFinished { task, at: t });
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Finished, t, 0, task, 0);
             }
@@ -511,7 +502,6 @@ impl HilSession {
                         continue;
                     }
                     let end = self.log.begin(task, t, self.tasks[task as usize].dur);
-                    self.events.push(SimEvent::TaskStarted { task, at: t });
                     if let Some(log) = &mut self.spans {
                         log.record(SpanKind::Started, t, 0, task, 0);
                     }
@@ -689,7 +679,6 @@ impl HilSession {
             .u64(self.recoveries)
             .val(self.ingest.save_state())
             .val(self.log.save_state())
-            .val(self.events.save_state())
             .val(match &self.sampler {
                 Some(s) => s.save_state(),
                 None => Value::Null,
@@ -763,7 +752,6 @@ impl HilSession {
         }
         self.ingest.load_state(d.val()?)?;
         self.log.load_state(d.val()?)?;
-        self.events.load_state(d.val()?)?;
         self.sampler = match d.val()? {
             Value::Null => None,
             v => Some(WindowSampler::load_state(v)?),
@@ -933,8 +921,10 @@ impl SessionCore for HilSession {
         self.ingest.in_flight()
     }
 
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        self.events.drain_into(out);
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>) {
+        if let Some(log) = &mut self.spans {
+            log.drain_new(out);
+        }
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -990,6 +980,7 @@ pub fn run_hil_with_stats(
 mod tests {
     use super::*;
     use picos_core::{DmDesign, TsPolicy};
+    use picos_runtime::session::feed_range;
     use picos_trace::gen;
 
     #[test]
@@ -1200,17 +1191,6 @@ mod tests {
         }
     }
 
-    fn feed_range(s: &mut HilSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
-    }
-
     #[test]
     fn snapshot_restore_equals_continuous() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
@@ -1220,8 +1200,8 @@ mod tests {
             for pause in [0, 9, tr.len() / 2] {
                 let mut cont = HilSession::new(mode, cfg.clone(), scfg).unwrap();
                 let mut live = HilSession::new(mode, cfg.clone(), scfg).unwrap();
-                feed_range(&mut cont, &tr, 0..pause);
-                feed_range(&mut live, &tr, 0..pause);
+                feed_range(&mut cont, &tr, 0..pause).unwrap();
+                feed_range(&mut live, &tr, 0..pause).unwrap();
 
                 // Snapshot through the JSON text codec, restore into a
                 // fresh identically-configured session.
@@ -1230,8 +1210,8 @@ mod tests {
                 let mut restored = HilSession::new(mode, cfg.clone(), scfg).unwrap();
                 restored.load_state(&snap).unwrap();
 
-                feed_range(&mut cont, &tr, pause..tr.len());
-                feed_range(&mut restored, &tr, pause..tr.len());
+                feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+                feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
                 let a = cont.into_output().unwrap();
                 let b = restored.into_output().unwrap();
                 assert_eq!(a, b, "{mode} pause {pause}");
@@ -1245,11 +1225,11 @@ mod tests {
         let cfg = HilConfig::balanced(4);
         let mut orig =
             HilSession::new(HilMode::FullSystem, cfg.clone(), SessionConfig::batch()).unwrap();
-        feed_range(&mut orig, &tr, 0..24);
+        feed_range(&mut orig, &tr, 0..24).unwrap();
         let baseline = orig.save_state();
 
         let mut fork = orig.clone();
-        feed_range(&mut fork, &tr, 24..tr.len());
+        feed_range(&mut fork, &tr, 24..tr.len()).unwrap();
         let forked = fork.into_report().unwrap();
 
         // Driving the fork to completion left the original untouched.
@@ -1257,7 +1237,7 @@ mod tests {
             picos_trace::snap::value_to_json(&orig.save_state()),
             picos_trace::snap::value_to_json(&baseline)
         );
-        feed_range(&mut orig, &tr, 24..tr.len());
+        feed_range(&mut orig, &tr, 24..tr.len()).unwrap();
         assert_eq!(orig.into_report().unwrap(), forked);
     }
 
@@ -1270,7 +1250,7 @@ mod tests {
             SessionConfig::batch(),
         )
         .unwrap();
-        feed_range(&mut a, &tr, 0..tr.len().min(8));
+        feed_range(&mut a, &tr, 0..tr.len().min(8)).unwrap();
         let snap = a.save_state();
 
         let mut wrong_mode = HilSession::new(

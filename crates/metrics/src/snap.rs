@@ -101,10 +101,10 @@ impl WindowSampler {
 }
 
 impl SpanLog {
-    /// Serializes the recorded events.
+    /// Serializes the drain cursor and the recorded events.
     pub fn save_state(&self) -> Value {
         let mut e = Enc::new();
-        e.seq(self.events(), |e, ev| {
+        e.usize(self.drained).seq(self.events(), |e, ev| {
             e.u64(ev.at)
                 .u64(ev.kind as u8 as u64)
                 .u64(ev.shard as u64)
@@ -118,9 +118,11 @@ impl SpanLog {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on a malformed record or unknown event kind.
+    /// Returns [`SnapError`] on a malformed record, an unknown event kind
+    /// or a drain cursor past the last event.
     pub fn load_state(v: &Value) -> Result<SpanLog, SnapError> {
         let mut d = Dec::new(v, "spans")?;
+        let drained = d.usize()?;
         let events = d.seq(|d| {
             let at = d.u64()?;
             let kind = span_kind(d.u64()?)?;
@@ -135,11 +137,10 @@ impl SpanLog {
                 arg,
             })
         })?;
-        let mut log = SpanLog::with_capacity(events.len());
-        for ev in events {
-            log.record(ev.kind, ev.at, ev.shard, ev.task, ev.arg);
+        if drained > events.len() {
+            return Err(SnapError::new("spans: drain cursor past the last event"));
         }
-        Ok(log)
+        Ok(SpanLog { events, drained })
     }
 }
 
@@ -198,12 +199,18 @@ mod tests {
     }
 
     #[test]
-    fn span_log_roundtrips() {
+    fn span_log_roundtrips_with_its_drain_cursor() {
         let mut log = SpanLog::new();
         log.record(SpanKind::Submitted, 0, 1, 7, 0);
+        log.drain_new(&mut Vec::new());
         log.record(SpanKind::MsgSend, 9, 2, u32::MAX, 3);
-        let back = SpanLog::load_state(&log.save_state()).unwrap();
+        let mut back = SpanLog::load_state(&log.save_state()).unwrap();
         assert_eq!(log, back);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        log.drain_new(&mut a);
+        back.drain_new(&mut b);
+        assert_eq!(a, b, "the restored log resumes draining where it stopped");
+        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -104,16 +104,56 @@ pub struct SpanEvent {
     pub arg: u32,
 }
 
+/// Renders events as a JSON array of `{"at","kind","shard","task","arg"}`
+/// objects — the format of [`SpanLog::to_json`] and of the serve
+/// `drain-events` response.
+pub fn events_to_json(events: &[SpanEvent]) -> String {
+    use std::fmt::Write;
+    let mut out = String::from("[");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"at\":{},\"kind\":\"{}\",\"shard\":{},\"task\":{},\"arg\":{}}}",
+            e.at,
+            e.kind.name(),
+            e.shard,
+            e.task,
+            e.arg
+        );
+    }
+    out.push(']');
+    out
+}
+
 /// A preallocated, append-only recorder of [`SpanEvent`]s.
 ///
 /// Observation-only by contract: engines never read the log back during
 /// simulation, and every record site is gated on the engine's
 /// `Option<SpanLog>` being `Some` — one branch per event when tracing is
 /// off, pinned bit-exact by the conformance tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Live consumers read the log incrementally through
+/// [`SpanLog::drain_new`], which copies events out past a drain cursor
+/// and never shortens the log. Equality compares the recorded events
+/// only: the cursor is consumer bookkeeping, not part of what was
+/// recorded.
+#[derive(Debug, Clone, Default)]
 pub struct SpanLog {
-    events: Vec<SpanEvent>,
+    pub(crate) events: Vec<SpanEvent>,
+    /// Events already handed out by [`SpanLog::drain_new`].
+    pub(crate) drained: usize,
 }
+
+impl PartialEq for SpanLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
+}
+
+impl Eq for SpanLog {}
 
 impl SpanLog {
     /// An empty log.
@@ -127,6 +167,7 @@ impl SpanLog {
     pub fn with_capacity(cap: usize) -> Self {
         SpanLog {
             events: Vec::with_capacity(cap),
+            drained: 0,
         }
     }
 
@@ -168,6 +209,15 @@ impl SpanLog {
         self.events.reserve(additional);
     }
 
+    /// Copies every event recorded since the previous call into `out`, in
+    /// recording order, and moves the drain cursor to the end. The log
+    /// keeps every event, so the drained batches, concatenated, are a
+    /// prefix of [`SpanLog::events`].
+    pub fn drain_new(&mut self, out: &mut Vec<SpanEvent>) {
+        out.extend_from_slice(&self.events[self.drained..]);
+        self.drained = self.events.len();
+    }
+
     /// Sorts the log into its canonical order: `(cycle, kind, shard,
     /// task, arg)`. The serial and conservative-parallel cluster engines
     /// record identical event *multisets* in different interleavings;
@@ -189,22 +239,7 @@ impl SpanLog {
 
     /// Renders the raw log as a JSON array of event objects.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at\":{},\"kind\":\"{}\",\"shard\":{},\"task\":{},\"arg\":{}}}",
-                e.at,
-                e.kind.name(),
-                e.shard,
-                e.task,
-                e.arg
-            ));
-        }
-        out.push(']');
-        out
+        events_to_json(&self.events)
     }
 }
 
@@ -903,7 +938,28 @@ mod tests {
         let mut log = SpanLog::new();
         log.record(SpanKind::Submitted, 3, 1, 9, 0);
         let j = log.to_json();
-        assert!(j.contains("\"kind\":\"submitted\""));
-        assert!(j.contains("\"shard\":1"));
+        assert_eq!(
+            j,
+            "[{\"at\":3,\"kind\":\"submitted\",\"shard\":1,\"task\":9,\"arg\":0}]"
+        );
+    }
+
+    #[test]
+    fn drain_new_copies_each_event_once_and_keeps_the_log() {
+        let mut log = SpanLog::new();
+        let mut out = Vec::new();
+        log.drain_new(&mut out);
+        assert!(out.is_empty());
+        log.record(SpanKind::Started, 1, 0, 0, 0);
+        log.drain_new(&mut out);
+        log.drain_new(&mut out);
+        log.record(SpanKind::Finished, 5, 0, 0, 0);
+        log.drain_new(&mut out);
+        assert_eq!(out, log.events(), "drains concatenate to the whole log");
+        assert_eq!(log.len(), 2, "draining never shortens the log");
+        // Equality ignores the cursor.
+        let mut undrained = SpanLog::new();
+        undrained.extend_from(&log);
+        assert_eq!(undrained, log);
     }
 }

@@ -13,9 +13,12 @@
 //! `step`, `now`, `in_flight` and `drain_events` are observational or
 //! forced (a `step` only moves the clock when the session is
 //! ingest-blocked, where the replay driver must make the same advance to
-//! drain its own backpressure) and are deliberately not recorded.
+//! drain its own backpressure) and are deliberately not recorded. A
+//! replayed session therefore starts draining from the beginning of its
+//! span log; a snapshot restore resumes at the snapshotted drain cursor.
 
-use crate::session::{Admission, FeedStall, SessionCore, SimEvent};
+use crate::session::{Admission, FeedStall, SessionCore};
+use picos_metrics::span::SpanEvent;
 use picos_trace::{JournalOp, SessionJournal, TaskDescriptor};
 
 /// A [`SessionCore`] wrapper that journals the accepted input stream.
@@ -131,7 +134,7 @@ impl<S: SessionCore> SessionCore for JournaledSession<S> {
         self.inner.in_flight()
     }
 
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>) {
         self.inner.drain_events(out)
     }
 

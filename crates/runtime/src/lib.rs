@@ -13,8 +13,8 @@
 //! Both engines are built as incremental streaming sessions
 //! ([`SoftwareSession`], [`PerfectSession`]); this crate also hosts the
 //! session vocabulary every engine shares ([`SessionCore`], [`Admission`],
-//! [`SimEvent`], [`SessionConfig`], [`feed_trace`]) — see the [`session`]
-//! module for the timing semantics.
+//! [`SessionConfig`], [`feed_trace`], [`feed_range`]) — see the
+//! [`session`] module for the timing semantics.
 //!
 //! # Quick example
 //!
@@ -48,6 +48,6 @@ pub use journal::{replay_journal, replay_journal_tail, JournaledSession};
 pub use perfect::{perfect_schedule, PerfectSession};
 pub use report::ExecReport;
 pub use session::{
-    feed_trace, Admission, EventLoopCore, FeedStall, SessionConfig, SessionCore, SimEvent,
+    feed_range, feed_trace, Admission, EventLoopCore, FeedStall, SessionConfig, SessionCore,
 };
 pub use simrt::{run_software, SoftwareSession, SwError, SwRuntimeConfig};

@@ -10,10 +10,8 @@
 
 use crate::depmap::SoftwareDeps;
 use crate::report::ExecReport;
-use crate::session::{
-    feed_trace, Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
-};
-use picos_metrics::span::{SpanKind, SpanLog};
+use crate::session::{feed_trace, Admission, Ingest, ScheduleLog, SessionConfig, SessionCore};
+use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
 use picos_trace::{TaskDescriptor, TaskId, Trace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -44,7 +42,6 @@ pub struct PerfectSession {
     durs: Vec<u64>,
     ingest: Ingest,
     log: ScheduleLog,
-    events: EventLog,
     /// Requested telemetry window; the zero-cost scheduler has no live
     /// units to probe, so its timeline is derived from the finished
     /// schedule at `finish` time.
@@ -78,7 +75,6 @@ impl PerfectSession {
             durs: Vec::new(),
             ingest: Ingest::new(cfg.window),
             log: ScheduleLog::default(),
-            events: EventLog::new(cfg.collect_events),
             timeline_window: cfg.timeline_window,
             spans: cfg.trace_spans.then(SpanLog::new),
             newly: Vec::new(),
@@ -109,10 +105,6 @@ impl PerfectSession {
                 break;
             };
             let end = self.log.begin(id, self.now, self.durs[id as usize]);
-            self.events.push(SimEvent::TaskStarted {
-                task: id,
-                at: self.now,
-            });
             if let Some(log) = &mut self.spans {
                 log.record(SpanKind::Started, self.now, 0, id, 0);
             }
@@ -130,8 +122,6 @@ impl PerfectSession {
         self.now = fin;
         self.idle += 1;
         self.ingest.finished += 1;
-        self.events
-            .push(SimEvent::TaskFinished { task: id, at: fin });
         if let Some(log) = &mut self.spans {
             log.record(SpanKind::Finished, fin, 0, id, 0);
         }
@@ -185,7 +175,6 @@ impl PerfectSession {
             .u64s(self.durs.iter().copied())
             .val(self.ingest.save_state())
             .val(self.log.save_state())
-            .val(self.events.save_state())
             .val(match &self.spans {
                 Some(s) => s.save_state(),
                 None => picos_trace::Value::Null,
@@ -225,12 +214,10 @@ impl PerfectSession {
         let durs = d.u64s()?;
         let ingest = d.val()?;
         let log = d.val()?;
-        let events = d.val()?;
         let spans = d.val()?;
         self.deps.load_state(deps)?;
         self.ingest.load_state(ingest)?;
         self.log.load_state(log)?;
-        self.events.load_state(events)?;
         self.spans = match spans {
             picos_trace::Value::Null => None,
             v => Some(picos_metrics::span::SpanLog::load_state(v)?),
@@ -307,8 +294,10 @@ impl SessionCore for PerfectSession {
         self.ingest.in_flight()
     }
 
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        self.events.drain_into(out);
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>) {
+        if let Some(log) = &mut self.spans {
+            log.drain_new(out);
+        }
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -334,6 +323,7 @@ pub fn perfect_schedule(trace: &Trace, workers: usize) -> ExecReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::feed_range;
     use picos_trace::{gen, Dependence, KernelClass, Trace};
 
     #[test]
@@ -475,19 +465,6 @@ mod tests {
         assert_eq!(r.start[1], 500, "second task arrived at cycle 500");
     }
 
-    /// Feeds tasks `range` of the trace (with any taskwait gates at their
-    /// recorded positions), stepping through backpressure.
-    fn feed_range(s: &mut PerfectSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
-    }
-
     #[test]
     fn snapshot_restore_equals_continuous() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
@@ -498,8 +475,8 @@ mod tests {
         for pause in [0usize, 7, 40] {
             let mut cont = PerfectSession::new(4, cfg).unwrap();
             let mut live = PerfectSession::new(4, cfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
             // Snapshot through the JSON text form, restore into a fresh
             // identically-configured session.
             let text = picos_trace::snap::value_to_json(&live.save_state());
@@ -507,8 +484,8 @@ mod tests {
             let mut restored = PerfectSession::new(4, cfg).unwrap();
             restored.load_state(&v).unwrap();
             assert_eq!(restored.now(), live.now(), "pause {pause}");
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let (rc, sc) = cont.into_output();
             let (rr, sr) = restored.into_output();
             assert_eq!(rc, rr, "pause {pause}: report diverged");
@@ -520,18 +497,18 @@ mod tests {
     fn fork_is_an_independent_replica() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
         let mut live = PerfectSession::new(2, SessionConfig::windowed(8)).unwrap();
-        feed_range(&mut live, &tr, 0..24);
+        feed_range(&mut live, &tr, 0..24).unwrap();
         let fork = live.clone();
         // Drive the fork to completion; the original must be untouched.
         let before_now = live.now();
         let before_inflight = live.in_flight();
         let mut fork = fork;
-        feed_range(&mut fork, &tr, 24..tr.len());
+        feed_range(&mut fork, &tr, 24..tr.len()).unwrap();
         let rf = fork.into_report();
         rf.validate(&tr).unwrap();
         assert_eq!(live.now(), before_now);
         assert_eq!(live.in_flight(), before_inflight);
-        feed_range(&mut live, &tr, 24..tr.len());
+        feed_range(&mut live, &tr, 24..tr.len()).unwrap();
         assert_eq!(live.into_report(), rf, "fork and original agree");
     }
 
@@ -546,29 +523,26 @@ mod tests {
     }
 
     #[test]
-    fn events_record_schedule_activity() {
+    fn drained_spans_record_schedule_activity() {
         let mut tr = Trace::new("t");
         tr.push(KernelClass::GENERIC, [], 10);
-        let mut s = PerfectSession::new(
-            1,
-            SessionConfig {
-                collect_events: true,
-                ..SessionConfig::batch()
-            },
-        )
-        .unwrap();
+        let mut s = PerfectSession::new(1, SessionConfig::batch().with_spans()).unwrap();
         s.submit(&tr.tasks()[0]);
         let mut out = Vec::new();
         s.drain_events(&mut out);
-        assert!(out.is_empty(), "no activity before the session runs");
+        let kinds = |out: &[SpanEvent]| out.iter().map(|e| (e.kind, e.at)).collect::<Vec<_>>();
+        assert_eq!(
+            kinds(&out),
+            [(SpanKind::Submitted, 0)],
+            "only the admission so far"
+        );
+        out.clear();
         s.advance_to(10);
         s.drain_events(&mut out);
         assert_eq!(
-            out,
-            vec![
-                SimEvent::TaskStarted { task: 0, at: 0 },
-                SimEvent::TaskFinished { task: 0, at: 10 },
-            ]
+            kinds(&out),
+            [(SpanKind::Started, 0), (SpanKind::Finished, 10)],
+            "each event is drained once"
         );
     }
 }

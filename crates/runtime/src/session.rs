@@ -6,9 +6,11 @@
 //! incremental **session** — a resumable simulation that ingests tasks one
 //! at a time ([`SessionCore::submit`]), honours `taskwait` barriers
 //! ([`SessionCore::barrier`]), advances simulated time on demand
-//! ([`SessionCore::advance_to`] / [`SessionCore::step`]) and reports
-//! schedule activity as [`SimEvent`]s. The batch `run(&Trace)` entry points
-//! are thin drivers over sessions ([`feed_trace`]).
+//! ([`SessionCore::advance_to`] / [`SessionCore::step`]) and, when opened
+//! with [`SessionConfig::trace_spans`], streams its lifecycle
+//! [`SpanEvent`]s out through [`SessionCore::drain_events`]. The batch
+//! `run(&Trace)` entry points are thin drivers over sessions
+//! ([`feed_trace`]).
 //!
 //! # Timing semantics
 //!
@@ -24,10 +26,11 @@
 //! window is full or its next task waits behind a taskwait — or closed.
 
 use crate::report::ExecReport;
+use picos_metrics::span::SpanEvent;
 use picos_trace::snap::{Dec, Enc};
 use picos_trace::{SnapError, TaskDescriptor, Trace, Value};
-use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 /// Outcome of submitting a task to a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,37 +45,6 @@ pub enum Admission {
     Backpressured,
 }
 
-/// Schedule activity drained from a session via
-/// [`SessionCore::drain_events`] (collected only when
-/// [`SessionConfig::collect_events`] is set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEvent {
-    /// A task started executing on a worker.
-    TaskStarted {
-        /// Dense task id (submission order).
-        task: u32,
-        /// Start cycle.
-        at: u64,
-    },
-    /// A task finished executing.
-    TaskFinished {
-        /// Dense task id (submission order).
-        task: u32,
-        /// Completion cycle.
-        at: u64,
-    },
-    /// A message crossed the inter-shard interconnect (cluster sessions
-    /// only): a dependence-registration fragment, wake-up or finish notice.
-    ShardMsg {
-        /// Sending shard.
-        from: u16,
-        /// Receiving shard.
-        to: u16,
-        /// Cycle the message entered the link.
-        at: u64,
-    },
-}
-
 /// Per-session knobs, chosen when the session is opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionConfig {
@@ -81,9 +53,6 @@ pub struct SessionConfig {
     /// `None` (the default) admits unboundedly, which is the batch-run
     /// semantics: the trace is fully known, so nothing limits pre-loading.
     pub window: Option<usize>,
-    /// Whether to record [`SimEvent`]s. Off by default: the batch driver
-    /// never drains them, so collecting would grow an unread queue.
-    pub collect_events: bool,
     /// Cycle width of the telemetry sampling windows. `None` (the
     /// default) attaches no sampler: probe points stay plain field
     /// increments and the run produces no
@@ -91,21 +60,23 @@ pub struct SessionConfig {
     /// observation-only — it changes no cycle of the schedule.
     pub timeline_window: Option<u64>,
     /// Whether to record task-lifecycle span events
-    /// ([`picos_metrics::span::SpanLog`]). Off by default; attaching the
-    /// recorder is observation-only — engines pay one branch per event
-    /// site and no cycle of the schedule changes.
+    /// ([`picos_metrics::span::SpanLog`]), readable live through
+    /// [`SessionCore::drain_events`] and in full from the finished
+    /// session. Off by default; attaching the recorder is
+    /// observation-only — engines pay one branch per event site and no
+    /// cycle of the schedule changes.
     pub trace_spans: bool,
 }
 
 impl SessionConfig {
-    /// Batch-equivalent defaults: unbounded window, no event collection,
-    /// no telemetry sampler.
+    /// Batch-equivalent defaults: unbounded window, no span tracing, no
+    /// telemetry sampler.
     pub fn batch() -> Self {
         SessionConfig::default()
     }
 
-    /// A paced/open-loop configuration: bounded in-flight window with
-    /// event collection off.
+    /// A paced/open-loop configuration: bounded in-flight window, no
+    /// observation attached.
     pub fn windowed(window: usize) -> Self {
         SessionConfig {
             window: Some(window),
@@ -184,12 +155,18 @@ pub trait SessionCore {
     /// Tasks admitted but not yet finished.
     fn in_flight(&self) -> usize;
 
-    /// Moves every recorded [`SimEvent`] into `out`, in emission order.
-    /// Emission order is simulation-processing order, not timestamp
-    /// order: a start is stamped with its dispatch-delayed cycle, so an
-    /// event with a smaller `at` may follow one with a larger `at` within
-    /// a dispatch window — sort by `at` if a strict timeline is needed.
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>);
+    /// Copies the session-level span events recorded since the previous
+    /// drain into `out`, in recording order; yields nothing unless the
+    /// session was opened with [`SessionConfig::trace_spans`]. The log is
+    /// never shortened: the drained batches, concatenated, are a prefix
+    /// of the finished session's span log (which appends the engine
+    /// cores' own probe events at finish). Recording order is
+    /// simulation-processing order, not timestamp order — a start is
+    /// stamped with its dispatch-delayed cycle — and the parallel cluster
+    /// engine records lane by lane; sort with
+    /// [`SpanLog::canonical_sort`](picos_metrics::span::SpanLog::canonical_sort)'s
+    /// key when a deterministic order is needed.
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>);
 
     /// Hints that roughly `additional` more tasks will be submitted, so
     /// the session can pre-size its per-task state. Purely an
@@ -227,7 +204,7 @@ impl<S: SessionCore + ?Sized> SessionCore for Box<S> {
         (**self).in_flight()
     }
 
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>) {
         (**self).drain_events(out)
     }
 
@@ -358,12 +335,35 @@ pub fn feed_trace<S: SessionCore + ?Sized>(
     trace: &Trace,
 ) -> Result<(), FeedStall> {
     session.reserve(trace.len());
-    let mut barriers = trace.barriers().iter().peekable();
-    for (i, task) in trace.iter().enumerate() {
-        while barriers.peek() == Some(&&(i as u32)) {
+    feed_range(session, trace, 0..trace.len())
+}
+
+/// Feeds tasks `range` of a trace into a session in creation order: every
+/// taskwait recorded at position `i` is declared right before task `i`,
+/// and backpressure drains with [`SessionCore::step`]. Feeding `0..b`
+/// then `b..len` declares exactly the sequence of one whole
+/// [`feed_trace`] — the prefix/suffix driver of snapshots and forks.
+///
+/// # Errors
+///
+/// See [`feed_trace`].
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the end of the trace.
+pub fn feed_range<S: SessionCore + ?Sized>(
+    session: &mut S,
+    trace: &Trace,
+    range: Range<usize>,
+) -> Result<(), FeedStall> {
+    let barriers = trace.barriers();
+    let mut next = barriers.partition_point(|&b| (b as usize) < range.start);
+    for i in range {
+        while barriers.get(next) == Some(&(i as u32)) {
             session.barrier();
-            barriers.next();
+            next += 1;
         }
+        let task = &trace.tasks()[i];
         loop {
             match session.submit(task) {
                 Admission::Accepted => break,
@@ -476,65 +476,6 @@ impl Ingest {
         self.cur_gate = d.u32()?;
         self.admitted = d.usize()?;
         self.finished = d.usize()?;
-        Ok(())
-    }
-}
-
-/// Shared event recorder: a no-op unless the session was opened with
-/// [`SessionConfig::collect_events`].
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    enabled: bool,
-    q: VecDeque<SimEvent>,
-}
-
-impl EventLog {
-    /// An event recorder; a disabled one drops every push.
-    pub fn new(enabled: bool) -> Self {
-        EventLog {
-            enabled,
-            q: VecDeque::new(),
-        }
-    }
-
-    /// Whether pushes are recorded (callers batching events elsewhere can
-    /// skip the bookkeeping entirely when recording is off).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one event (no-op when disabled).
-    #[inline]
-    pub fn push(&mut self, ev: SimEvent) {
-        if self.enabled {
-            self.q.push_back(ev);
-        }
-    }
-
-    /// Moves every recorded event into `out`, oldest first.
-    pub fn drain_into(&mut self, out: &mut Vec<SimEvent>) {
-        out.extend(self.q.drain(..));
-    }
-
-    /// Serializes the recorder: the enabled flag (a restore guard) and the
-    /// undrained queue.
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.bool(self.enabled)
-            .seq(self.q.iter(), crate::snap::enc_event);
-        e.done()
-    }
-
-    /// Overwrites the recorder from [`EventLog::save_state`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record or an enabled-flag
-    /// mismatch.
-    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
-        let mut d = Dec::new(v, "event log")?;
-        picos_trace::snap::guard("event log enabled", d.bool()? as u64, self.enabled as u64)?;
-        self.q = d.seq(crate::snap::dec_event)?.into();
         Ok(())
     }
 }
@@ -689,27 +630,25 @@ mod tests {
             fn in_flight(&self) -> usize {
                 0
             }
-            fn drain_events(&mut self, _: &mut Vec<SimEvent>) {}
+            fn drain_events(&mut self, _: &mut Vec<SpanEvent>) {}
         }
         let mut tr = Trace::new("t");
         tr.push(KernelClass::GENERIC, [Dependence::inout(1)], 1);
         tr.push_taskwait();
         tr.push(KernelClass::GENERIC, [], 1);
-        let mut rec = Rec::default();
-        feed_trace(&mut rec, &tr).unwrap();
-        assert_eq!(rec.log, vec!["t0", "|", "t1"]);
-    }
-
-    #[test]
-    fn events_disabled_by_default() {
-        let mut log = EventLog::new(false);
-        log.push(SimEvent::TaskStarted { task: 0, at: 0 });
-        let mut out = Vec::new();
-        log.drain_into(&mut out);
-        assert!(out.is_empty());
-        let mut log = EventLog::new(true);
-        log.push(SimEvent::TaskFinished { task: 1, at: 5 });
-        log.drain_into(&mut out);
-        assert_eq!(out, vec![SimEvent::TaskFinished { task: 1, at: 5 }]);
+        tr.push(KernelClass::GENERIC, [], 1);
+        tr.push_taskwait();
+        tr.push(KernelClass::GENERIC, [], 1);
+        let mut whole = Rec::default();
+        feed_trace(&mut whole, &tr).unwrap();
+        assert_eq!(whole.log, vec!["t0", "|", "t1", "t2", "|", "t3"]);
+        // A split feed declares the same sequence for every cut, including
+        // cuts exactly at a barrier (b = 1 and b = 3).
+        for b in 0..=tr.len() {
+            let mut split = Rec::default();
+            feed_range(&mut split, &tr, 0..b).unwrap();
+            feed_range(&mut split, &tr, b..tr.len()).unwrap();
+            assert_eq!(split.log, whole.log, "cut at {b}");
+        }
     }
 }

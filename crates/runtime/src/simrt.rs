@@ -22,10 +22,8 @@
 use crate::cost::NanosCostModel;
 use crate::depmap::SoftwareDeps;
 use crate::report::ExecReport;
-use crate::session::{
-    feed_trace, Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
-};
-use picos_metrics::span::{SpanKind, SpanLog};
+use crate::session::{feed_trace, Admission, Ingest, ScheduleLog, SessionConfig, SessionCore};
+use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
 use picos_trace::{TaskDescriptor, TaskId, Trace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -191,7 +189,6 @@ pub struct SoftwareSession {
     now: u64,
     ingest: Ingest,
     log: ScheduleLog,
-    events: EventLog,
     /// Requested telemetry window; the software model's only occupancy is
     /// its worker pool, so its timeline is derived from the finished
     /// schedule at `finish` time.
@@ -238,7 +235,6 @@ impl SoftwareSession {
             now: 0,
             ingest: Ingest::new(session.window),
             log: ScheduleLog::default(),
-            events: EventLog::new(session.collect_events),
             timeline_window: session.timeline_window,
             spans: session.trace_spans.then(SpanLog::new),
             newly: Vec::new(),
@@ -342,7 +338,6 @@ impl SoftwareSession {
                     self.state[w] = WorkerState::Running;
                     let dur = self.tasks[task as usize].duration;
                     let t_end = self.log.begin(task, t_got, dur);
-                    self.events.push(SimEvent::TaskStarted { task, at: t_got });
                     if let Some(log) = &mut self.spans {
                         log.record(SpanKind::Started, t_got, 0, task, w as u32);
                     }
@@ -351,7 +346,6 @@ impl SoftwareSession {
             }
             Ev::TaskDone(w, task) => {
                 self.ingest.finished += 1;
-                self.events.push(SimEvent::TaskFinished { task, at: now });
                 if let Some(log) = &mut self.spans {
                     log.record(SpanKind::Finished, now, 0, task, w as u32);
                 }
@@ -429,7 +423,6 @@ impl SoftwareSession {
             .u64(self.now)
             .val(self.ingest.save_state())
             .val(self.log.save_state())
-            .val(self.events.save_state())
             .val(match &self.spans {
                 Some(s) => s.save_state(),
                 None => picos_trace::Value::Null,
@@ -506,7 +499,6 @@ impl SoftwareSession {
         self.deps.load_state(deps)?;
         self.ingest.load_state(d.val()?)?;
         self.log.load_state(d.val()?)?;
-        self.events.load_state(d.val()?)?;
         self.spans = match d.val()? {
             picos_trace::Value::Null => None,
             v => Some(SpanLog::load_state(v)?),
@@ -614,8 +606,10 @@ impl SessionCore for SoftwareSession {
         self.ingest.in_flight()
     }
 
-    fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        self.events.drain_into(out);
+    fn drain_events(&mut self, out: &mut Vec<SpanEvent>) {
+        if let Some(log) = &mut self.spans {
+            log.drain_new(out);
+        }
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -643,6 +637,7 @@ pub fn run_software(trace: &Trace, cfg: SwRuntimeConfig) -> Result<ExecReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::feed_range;
     use picos_trace::gen;
 
     #[test]
@@ -783,41 +778,24 @@ mod tests {
         r.validate(&tr).unwrap();
     }
 
-    /// Feeds tasks `range` of the trace (with any taskwait gates at their
-    /// recorded positions), stepping through backpressure.
-    fn feed_range(s: &mut SoftwareSession, tr: &picos_trace::Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
-    }
-
     #[test]
     fn snapshot_restore_equals_continuous() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
-        let scfg = SessionConfig {
-            trace_spans: true,
-            collect_events: true,
-            ..SessionConfig::windowed(16)
-        };
+        let scfg = SessionConfig::windowed(16).with_spans();
         let cfg = SwRuntimeConfig::with_workers(4);
         for pause in [0usize, 9, 33] {
             let mut cont = SoftwareSession::new(cfg, scfg).unwrap();
             let mut live = SoftwareSession::new(cfg, scfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
             let text = picos_trace::snap::value_to_json(&live.save_state());
             let v = picos_trace::snap::value_from_json(&text).unwrap();
             let mut restored = SoftwareSession::new(cfg, scfg).unwrap();
             restored.load_state(&v).unwrap();
             assert_eq!(restored.now(), live.now(), "pause {pause}");
             assert_eq!(restored.in_flight(), live.in_flight(), "pause {pause}");
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let mut ec = Vec::new();
             let mut er = Vec::new();
             cont.drain_events(&mut ec);
@@ -835,14 +813,14 @@ mod tests {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
         let cfg = SwRuntimeConfig::with_workers(4);
         let mut live = SoftwareSession::new(cfg, SessionConfig::windowed(8)).unwrap();
-        feed_range(&mut live, &tr, 0..20);
+        feed_range(&mut live, &tr, 0..20).unwrap();
         let mut fork = live.clone();
         let before_now = live.now();
-        feed_range(&mut fork, &tr, 20..tr.len());
+        feed_range(&mut fork, &tr, 20..tr.len()).unwrap();
         let rf = fork.into_report().unwrap();
         rf.validate(&tr).unwrap();
         assert_eq!(live.now(), before_now, "fork must not disturb the original");
-        feed_range(&mut live, &tr, 20..tr.len());
+        feed_range(&mut live, &tr, 20..tr.len()).unwrap();
         assert_eq!(live.into_report().unwrap(), rf);
     }
 

@@ -1,11 +1,10 @@
 //! Shared snapshot codec helpers for the runtime sessions.
 //!
-//! Task descriptors and [`SimEvent`]s appear in several session snapshots
-//! (pending queues, event logs, the master's creation queue), so their
-//! positional encodings live here; each session type serializes its own
-//! fields next to its definition.
+//! Task descriptors appear in several session snapshots (pending queues,
+//! the master's creation queue, task tables), so their positional encoding
+//! lives here; each session type serializes its own fields next to its
+//! definition.
 
-use crate::session::SimEvent;
 use picos_trace::snap::{Dec, Enc, SnapError};
 use picos_trace::{Dependence, Direction, KernelClass, TaskDescriptor, TaskId};
 
@@ -53,41 +52,6 @@ pub fn dec_task(d: &mut Dec) -> Result<TaskDescriptor, SnapError> {
     })
 }
 
-/// Encodes one schedule event (variant code first).
-pub fn enc_event(e: &mut Enc, ev: &SimEvent) {
-    match *ev {
-        SimEvent::TaskStarted { task, at } => {
-            e.u64(0).u32(task).u64(at);
-        }
-        SimEvent::TaskFinished { task, at } => {
-            e.u64(1).u32(task).u64(at);
-        }
-        SimEvent::ShardMsg { from, to, at } => {
-            e.u64(2).u64(from as u64).u64(to as u64).u64(at);
-        }
-    }
-}
-
-/// Decodes one schedule event written by [`enc_event`].
-pub fn dec_event(d: &mut Dec) -> Result<SimEvent, SnapError> {
-    match d.u64()? {
-        0 => Ok(SimEvent::TaskStarted {
-            task: d.u32()?,
-            at: d.u64()?,
-        }),
-        1 => Ok(SimEvent::TaskFinished {
-            task: d.u32()?,
-            at: d.u64()?,
-        }),
-        2 => Ok(SimEvent::ShardMsg {
-            from: d.u16()?,
-            to: d.u16()?,
-            at: d.u64()?,
-        }),
-        other => Err(SnapError::new(format!("unknown event code {other}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,26 +69,6 @@ mod tests {
         let v = e.done();
         let mut d = Dec::new(&v, "task").unwrap();
         assert_eq!(dec_task(&mut d).unwrap(), t);
-    }
-
-    #[test]
-    fn event_roundtrip() {
-        let evs = [
-            SimEvent::TaskStarted { task: 1, at: 2 },
-            SimEvent::TaskFinished { task: 3, at: 4 },
-            SimEvent::ShardMsg {
-                from: 5,
-                to: 6,
-                at: 7,
-            },
-        ];
-        for ev in evs {
-            let mut e = Enc::new();
-            enc_event(&mut e, &ev);
-            let v = e.done();
-            let mut d = Dec::new(&v, "event").unwrap();
-            assert_eq!(dec_event(&mut d).unwrap(), ev);
-        }
     }
 
     #[test]

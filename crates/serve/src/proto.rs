@@ -12,6 +12,7 @@
 //! barrier  = {"cmd":"barrier","tenant":NAME}
 //! advance  = {"cmd":"advance","tenant":NAME,"cycle":INT}
 //! drain    = {"cmd":"drain-events","tenant":NAME}
+//!            -> {"ok":true,"events":[{"at","kind","shard","task","arg"}...]}
 //! stats    = {"cmd":"stats","tenant":NAME}
 //! scrape   = {"cmd":"scrape"}
 //! checkpnt = {"cmd":"checkpoint"} | {"cmd":"checkpoint","tenant":NAME}
@@ -30,7 +31,8 @@
 
 use crate::service::{schedule_digest, TenantSpec};
 use crate::service::{Scrape, ServeConfig, ServeError, Service, SubmitOutcome, TenantStats};
-use picos_backend::{SessionOutput, SimEvent};
+use picos_backend::SessionOutput;
+use picos_metrics::span::{events_to_json, SpanEvent};
 use picos_trace::{json_escape, parse_json, task_from_value, task_to_json, TaskDescriptor, Value};
 
 /// One parsed protocol request.
@@ -62,7 +64,8 @@ pub enum Request {
         /// Cycle to advance to.
         cycle: u64,
     },
-    /// Drain pending schedule events.
+    /// Copy out the lifecycle span events recorded since the previous
+    /// drain (tenants opened with `"trace_spans":true`).
     DrainEvents {
         /// Tenant name.
         tenant: String,
@@ -219,8 +222,8 @@ pub enum Response {
     Ok,
     /// Submission verdict.
     Submitted(SubmitOutcome),
-    /// Drained schedule events.
-    Events(Vec<SimEvent>),
+    /// Drained lifecycle span events.
+    Events(Vec<SpanEvent>),
     /// Tenant state.
     Stats(TenantStats),
     /// Metrics snapshot.
@@ -262,15 +265,7 @@ impl Response {
                 format!("{{\"ok\":true,\"outcome\":\"{}\"}}", outcome.label())
             }
             Response::Events(events) => {
-                let mut out = String::from("{\"ok\":true,\"events\":[");
-                for (i, e) in events.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&event_json(e));
-                }
-                out.push_str("]}");
-                out
+                format!("{{\"ok\":true,\"events\":{}}}", events_to_json(events))
             }
             Response::Stats(s) => format!(
                 "{{\"ok\":true,\"stats\":{{\"now\":{},\"in_flight\":{},\"quota\":{},\
@@ -299,21 +294,6 @@ impl Response {
                  \"digest\":{digest}}}",
                 json_escape(engine)
             ),
-        }
-    }
-}
-
-/// Renders one [`SimEvent`] as a JSON object.
-fn event_json(e: &SimEvent) -> String {
-    match e {
-        SimEvent::TaskStarted { task, at } => {
-            format!("{{\"kind\":\"start\",\"task\":{task},\"at\":{at}}}")
-        }
-        SimEvent::TaskFinished { task, at } => {
-            format!("{{\"kind\":\"finish\",\"task\":{task},\"at\":{at}}}")
-        }
-        SimEvent::ShardMsg { from, to, at } => {
-            format!("{{\"kind\":\"shard-msg\",\"from\":{from},\"to\":{to},\"at\":{at}}}")
         }
     }
 }

@@ -21,8 +21,9 @@
 
 use picos_backend::{
     Admission, BackendError, BackendSpec, ExecBackend, SessionConfig, SessionCore, SessionOutput,
-    SimEvent, SimSession, Snapshot,
+    SimSession, Snapshot,
 };
+use picos_metrics::span::SpanEvent;
 use picos_metrics::{MergeRule, MetricSet, SeriesSpec, Timeline, WindowSampler};
 use picos_runtime::{replay_journal_tail, JournaledSession};
 use picos_trace::{json_escape, parse_json, SessionJournal, TaskDescriptor, Value};
@@ -78,17 +79,16 @@ pub struct TenantSpec {
     /// Service-level admission quota (in-flight cap checked before the
     /// session sees the task); [`ServeConfig::default_quota`] when unset.
     pub quota: Option<usize>,
-    /// Whether the session collects [`SimEvent`]s for `drain_events`.
-    pub collect_events: bool,
     /// Cycle width of the engine's telemetry sampler, if any.
     pub timeline_window: Option<u64>,
-    /// Whether the session records task-lifecycle spans.
+    /// Whether the session records task-lifecycle spans (which
+    /// [`Service::drain_events`] streams out while the tenant runs).
     pub trace_spans: bool,
 }
 
 impl TenantSpec {
     /// A spec with streaming defaults: no explicit window (the service
-    /// windows the engine at the admission quota), no events, no
+    /// windows the engine at the admission quota), no spans, no
     /// telemetry.
     pub fn new(backend: BackendSpec, workers: usize) -> Self {
         TenantSpec {
@@ -96,7 +96,6 @@ impl TenantSpec {
             workers,
             window: None,
             quota: None,
-            collect_events: false,
             timeline_window: None,
             trace_spans: false,
         }
@@ -106,7 +105,6 @@ impl TenantSpec {
     pub fn session_config(&self) -> SessionConfig {
         SessionConfig {
             window: self.window,
-            collect_events: self.collect_events,
             timeline_window: self.timeline_window,
             trace_spans: self.trace_spans,
         }
@@ -143,9 +141,6 @@ impl TenantSpec {
         }
         if let Some(q) = self.quota {
             out.push_str(&format!(",\"quota\":{q}"));
-        }
-        if self.collect_events {
-            out.push_str(",\"collect_events\":true");
         }
         if let Some(t) = self.timeline_window {
             out.push_str(&format!(",\"timeline_window\":{t}"));
@@ -192,7 +187,6 @@ impl TenantSpec {
             workers: int("workers")?.ok_or("tenant spec needs \"workers\"")? as usize,
             window: int("window")?.map(|w| w as usize),
             quota: int("quota")?.map(|q| q as usize),
-            collect_events: flag("collect_events"),
             timeline_window: int("timeline_window")?,
             trace_spans: flag("trace_spans"),
         })
@@ -720,13 +714,15 @@ impl Service {
         Ok(())
     }
 
-    /// Drains a tenant's pending [`SimEvent`]s into `out` (the tenant must
-    /// have been opened with [`TenantSpec::collect_events`]).
+    /// Copies the tenant's lifecycle span events recorded since its
+    /// previous drain into `out` (nothing unless the tenant was opened
+    /// with [`TenantSpec::trace_spans`]; see
+    /// [`SessionCore::drain_events`]).
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`].
-    pub fn drain_events(&mut self, name: &str, out: &mut Vec<SimEvent>) -> Result<(), ServeError> {
+    pub fn drain_events(&mut self, name: &str, out: &mut Vec<SpanEvent>) -> Result<(), ServeError> {
         let i = self.idx(name)?;
         self.tenants[i].session.drain_events(out);
         Ok(())

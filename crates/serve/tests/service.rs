@@ -7,7 +7,7 @@ use picos_serve::{
     schedule_digest, Request, ServeConfig, ServeError, ServeHandle, Service, SubmitOutcome,
     TenantSpec,
 };
-use picos_trace::gen;
+use picos_trace::{gen, parse_json};
 
 fn open_n(svc: &mut Service, n: usize, spec: &TenantSpec) {
     for i in 0..n {
@@ -268,5 +268,104 @@ fn protocol_round_trips_and_matches_solo() {
     ] {
         let resp = h.handle_line(bad);
         assert!(resp.starts_with("{\"ok\":false,"), "{bad} -> {resp}");
+    }
+}
+
+/// One request line nested far past the JSON depth cap — the shape that
+/// overflowed the parser's stack and aborted the whole server — is an
+/// ordinary error response, and the handle keeps serving.
+#[test]
+fn deeply_nested_request_lines_are_rejected_not_fatal() {
+    let mut h = ServeHandle::new(ServeConfig::default()).unwrap();
+    for deep in ["[".repeat(100_000), "{\"cmd\":".repeat(100_000)] {
+        let resp = h.handle_line(&deep);
+        assert!(resp.starts_with("{\"ok\":false,"), "{}", &resp[..80]);
+        assert!(resp.contains("nesting"), "{resp}");
+    }
+    let open = Request::Open {
+        tenant: "after".into(),
+        spec: TenantSpec::new(BackendSpec::Nanos, 2),
+    };
+    assert_eq!(h.handle_line(&open.to_line()), "{\"ok\":true}");
+}
+
+/// `drain-events` on a span-traced tenant streams lifecycle events in
+/// the `SpanLog::to_json` element shape, and the started/finished stamps
+/// it returns are exactly the schedule the tenant reports at close.
+#[test]
+fn drain_events_over_the_wire_match_the_tenant_report() {
+    let mut spec = TenantSpec::new(BackendSpec::Cluster(2), 4);
+    spec.trace_spans = true;
+    let trace = gen::stream(gen::StreamConfig::heavy(40));
+    let mut h = ServeHandle::new(ServeConfig::default()).unwrap();
+    let open = Request::Open {
+        tenant: "w".into(),
+        spec,
+    };
+    assert_eq!(h.handle_line(&open.to_line()), "{\"ok\":true}");
+    let drain = Request::DrainEvents { tenant: "w".into() }.to_line();
+    let mut starts = vec![None; trace.len()];
+    let mut finishes = vec![None; trace.len()];
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut collect = |line: String| {
+        let v = parse_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let obj = v.as_obj().unwrap();
+        assert_eq!(
+            obj.get("ok"),
+            Some(&picos_trace::Value::Bool(true)),
+            "{line}"
+        );
+        for e in obj.get("events").and_then(|e| e.as_array()).unwrap() {
+            let e = e.as_obj().unwrap();
+            for key in ["at", "shard", "task", "arg"] {
+                assert!(
+                    e.get(key).and_then(|v| v.as_int()).is_some(),
+                    "{key}: {line}"
+                );
+            }
+            let kind = e
+                .get("kind")
+                .and_then(|k| k.as_string())
+                .unwrap()
+                .to_string();
+            let task = e["task"].as_int().unwrap() as usize;
+            let at = e["at"].as_int().unwrap();
+            match kind.as_str() {
+                "started" => starts[task] = Some(at),
+                "finished" => finishes[task] = Some(at),
+                _ => {}
+            }
+            kinds.insert(kind);
+        }
+    };
+    let half = trace.len() / 2;
+    for (i, task) in trace.iter().enumerate() {
+        let line = Request::Submit {
+            tenant: "w".into(),
+            task: task.clone(),
+        }
+        .to_line();
+        assert_eq!(
+            h.handle_line(&line),
+            "{\"ok\":true,\"outcome\":\"accepted\"}"
+        );
+        if i == half {
+            collect(h.handle_line(&drain));
+        }
+    }
+    let advance = Request::Advance {
+        tenant: "w".into(),
+        cycle: 1 << 40,
+    };
+    assert_eq!(h.handle_line(&advance.to_line()), "{\"ok\":true}");
+    collect(h.handle_line(&drain));
+    assert!(
+        kinds.contains("submitted") && kinds.contains("msg_send"),
+        "{kinds:?}"
+    );
+    let out = h.service_mut().close("w").unwrap();
+    for i in 0..trace.len() {
+        assert_eq!(starts[i], Some(out.report.start[i]), "task {i} start");
+        assert_eq!(finishes[i], Some(out.report.end[i]), "task {i} end");
     }
 }

@@ -255,9 +255,18 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a cap one line of `[`s overflows
+/// the stack and aborts the process; past the cap it returns a
+/// [`JsonError`] instead. In-tree documents stay far below it (a 4-shard
+/// cluster snapshot nests 10 levels, a trace file 5).
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -294,8 +303,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -303,6 +312,18 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_JSON_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, v: Value) -> Result<Value, JsonError> {
@@ -449,7 +470,8 @@ impl<'a> Parser<'a> {
 /// This is the workspace's only JSON reader (the build environment has no
 /// `serde`), so every in-tree JSON emitter — trace files, the session
 /// journal, the Perfetto span export — validates its output through this
-/// entry. Rejects trailing characters after the document.
+/// entry. Rejects trailing characters after the document and nesting
+/// deeper than [`MAX_JSON_DEPTH`].
 ///
 /// # Errors
 ///
@@ -458,6 +480,7 @@ pub fn parse_json(s: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -574,6 +597,29 @@ pub(crate) fn trace_from_json(s: &str) -> Result<Trace, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(
+                parse_json(&nest(open, close, MAX_JSON_DEPTH)).is_ok(),
+                "{open}"
+            );
+            let err = parse_json(&nest(open, close, MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            assert_eq!(err.offset, MAX_JSON_DEPTH * open.len(), "{open}");
+        }
+        // Far past the cap — deep enough to overflow an uncapped recursive
+        // parser's stack — the error is still an ordinary `Err`.
+        for doc in [
+            "[".repeat(100_000),
+            "{\"k\":".repeat(100_000),
+            "[{\"k\":".repeat(50_000),
+        ] {
+            assert!(parse_json(&doc).is_err());
+        }
+    }
 
     #[test]
     fn rejects_garbage() {

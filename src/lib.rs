@@ -62,10 +62,10 @@ pub use picos_trace as trace;
 /// Everything a typical experiment needs, importable in one line.
 pub mod prelude {
     pub use picos_backend::{
-        feed_trace, run_paced, run_paced_with_telemetry, Admission, ArrivalTrace, BackendBuilder,
-        BackendError, BackendSpec, ClusterBackend, ExecBackend, PaceReport, PacedTask, PacedTrace,
-        SessionConfig, SessionCore, SessionOutput, SimEvent, SimSession, Snapshot, Sweep,
-        SweepResult, SweepRow, Workload,
+        feed_range, feed_trace, run_paced, run_paced_with_telemetry, Admission, ArrivalTrace,
+        BackendBuilder, BackendError, BackendSpec, ClusterBackend, ExecBackend, PaceReport,
+        PacedTask, PacedTrace, SessionConfig, SessionCore, SessionOutput, SimSession, Snapshot,
+        Sweep, SweepResult, SweepRow, Workload,
     };
     // `SyntheticMetrics` / `synthetic_metrics` come in through `picos_hil`
     // above (the HIL-flavoured wrapper re-exports the metrics-crate type).

@@ -31,6 +31,9 @@ fn fleet(n: usize, seed: u64) -> Vec<(String, TenantSpec, Trace)> {
         .map(|i| {
             let backend = BackendSpec::ALL[i % BackendSpec::ALL.len()];
             let mut spec = TenantSpec::new(backend, 2 + i % 3);
+            // Half the fleet records lifecycle spans, so drains stream
+            // real events (observation-only: solo equivalence holds).
+            spec.trace_spans = i % 2 == 0;
             if i % 3 == 1 {
                 // A tight engine window so the interleaving exercises
                 // window rejections, not just clean accepts.
@@ -146,9 +149,9 @@ fn multiplexed_tenants_match_solo_bit_exactly() {
             .collect();
 
         // Random interleaving: pick a live feed, push one task; sprinkle
-        // scheduler rounds and event drains between submissions.
+        // scheduler rounds and span drains between submissions.
         let mut rng = SplitMix64::new(seed ^ 0x5e12);
-        let mut events = Vec::new();
+        let mut drained: Vec<Vec<span::SpanEvent>> = vec![Vec::new(); fleet.len()];
         while feeds.iter().any(|f| !f.done()) {
             let live: Vec<usize> = (0..feeds.len()).filter(|&i| !feeds[i].done()).collect();
             let pick = live[rng.range_usize(0, live.len() - 1)];
@@ -158,7 +161,7 @@ fn multiplexed_tenants_match_solo_bit_exactly() {
             }
             if rng.bool(0.1) {
                 let name = feeds[pick].name.clone();
-                svc.drain_events(&name, &mut events).unwrap();
+                svc.drain_events(&name, &mut drained[pick]).unwrap();
             }
         }
 
@@ -180,7 +183,20 @@ fn multiplexed_tenants_match_solo_bit_exactly() {
                 schedule_digest(&solos[i]),
                 "seed {seed} {name}: multiplexed schedule diverged from solo"
             );
+            // Drains are a live view over the tenant's span log: what
+            // they returned is a prefix of the log the close hands back.
+            match &out.spans {
+                Some(log) => assert!(
+                    log.events().starts_with(&drained[i]),
+                    "seed {seed} {name}: drained events are not a prefix of the span log"
+                ),
+                None => assert!(drained[i].is_empty(), "seed {seed} {name}"),
+            }
         }
+        assert!(
+            drained.iter().any(|d| !d.is_empty()),
+            "seed {seed}: some drain must have streamed events"
+        );
         assert!(svc.is_empty());
     }
 }

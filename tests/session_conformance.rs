@@ -2,7 +2,7 @@
 //!
 //! For every backend family × every synthetic testcase plus the Cholesky
 //! and SparseLU applications, a session driven one task at a time — and
-//! one driven with a random interleaving of submits, steps and event
+//! one driven with a random interleaving of submits, steps and span
 //! drains — must reproduce the batch `run_with_stats` result exactly:
 //! makespan, schedule order, per-task start/end times and hardware
 //! counters. This pins the core promise of the session API: submission
@@ -12,6 +12,7 @@
 
 use picos_repro::prelude::*;
 use picos_trace::rng::SplitMix64;
+use span::{SpanEvent, SpanKind};
 
 /// The conformance workloads: all seven synthetic cases plus the two
 /// paper applications named by the roadmap issue.
@@ -45,21 +46,11 @@ fn drive_one_at_a_time(
     s.finish().unwrap()
 }
 
-/// Feeds the trace with a seeded random interleaving of submits, steps
-/// and event drains. Steps while the session is open and unblocked are
-/// no-ops by contract, which is exactly what keeps this bit-exact.
-fn drive_randomly(
-    backend: &dyn ExecBackend,
-    trace: &Trace,
-    seed: u64,
-) -> (ExecReport, Option<picos_repro::core::Stats>) {
+/// Feeds the trace into an open session with a seeded random interleaving
+/// of submits, steps and span drains; returns the drained events,
+/// concatenated in drain order.
+fn feed_randomly(s: &mut dyn SimSession, trace: &Trace, seed: u64) -> Vec<SpanEvent> {
     let mut rng = SplitMix64::new(seed);
-    let mut s = backend
-        .open_with(SessionConfig {
-            collect_events: true,
-            ..SessionConfig::batch()
-        })
-        .unwrap();
     let mut events = Vec::new();
     let mut barriers = trace.barriers().iter().peekable();
     for (i, task) in trace.iter().enumerate() {
@@ -67,7 +58,7 @@ fn drive_randomly(
             s.barrier();
             barriers.next();
         }
-        // Interleave a random burst of steps and event drains between
+        // Interleave a random burst of steps and span drains between
         // submissions (steps are no-ops while the session is open and
         // unblocked — that contract is what keeps this bit-exact).
         for _ in 0..rng.below(4) {
@@ -85,6 +76,22 @@ fn drive_randomly(
         }
     }
     s.drain_events(&mut events);
+    events
+}
+
+/// A span-traced session fed by [`feed_randomly`], then finished. Steps
+/// while the session is open and unblocked are no-ops by contract and
+/// span recording is observation-only, which is exactly what keeps this
+/// bit-exact with the untraced batch run.
+fn drive_randomly(
+    backend: &dyn ExecBackend,
+    trace: &Trace,
+    seed: u64,
+) -> (ExecReport, Option<picos_repro::core::Stats>) {
+    let mut s = backend
+        .open_with(SessionConfig::batch().with_spans())
+        .unwrap();
+    feed_randomly(&mut *s, trace, seed);
     s.finish().unwrap()
 }
 
@@ -217,16 +224,13 @@ fn taskwait_traces_stream_bit_exact() {
 
 #[test]
 fn events_describe_the_reported_schedule() {
-    // Event streams are a faithful narration of the report: one start and
-    // one finish per task, at the report's recorded cycles.
+    // Drained span streams are a faithful narration of the report: one
+    // start and one finish per task, at the report's recorded cycles.
     let trace = gen::synthetic(gen::Case::Case3);
     for spec in BackendSpec::ALL {
         let backend = spec.build(8, &PicosConfig::balanced());
         let mut s = backend
-            .open_with(SessionConfig {
-                collect_events: true,
-                ..SessionConfig::batch()
-            })
+            .open_with(SessionConfig::batch().with_spans())
             .unwrap();
         feed_trace(&mut *s, &trace).unwrap();
         // Events materialize as the session runs; drain after advancing
@@ -238,15 +242,60 @@ fn events_describe_the_reported_schedule() {
         let mut starts = vec![None; trace.len()];
         let mut finishes = vec![None; trace.len()];
         for e in &events {
-            match *e {
-                SimEvent::TaskStarted { task, at } => starts[task as usize] = Some(at),
-                SimEvent::TaskFinished { task, at } => finishes[task as usize] = Some(at),
-                SimEvent::ShardMsg { .. } => {}
+            match e.kind {
+                SpanKind::Started => starts[e.task as usize] = Some(e.at),
+                SpanKind::Finished => finishes[e.task as usize] = Some(e.at),
+                _ => {}
             }
         }
         for i in 0..trace.len() {
             assert_eq!(starts[i], Some(r.start[i]), "{spec} task {i} start");
             assert_eq!(finishes[i], Some(r.end[i]), "{spec} task {i} end");
+        }
+    }
+}
+
+#[test]
+fn drained_spans_are_a_prefix_of_the_finished_log() {
+    // Drains interleaved with submits and steps copy the session-level
+    // span log out incrementally and never shorten it: concatenated, they
+    // are a prefix of the finished session's log (finish appends the
+    // engine cores' own probe events after it). Every family, plus the
+    // 4-shard cluster on the serial and the parallel engine; windowed
+    // sessions so steps make progress mid-stream.
+    let trace = gen::stream(gen::StreamConfig::heavy(200));
+    let mut backends: Vec<(String, Box<dyn ExecBackend>)> = BackendSpec::ALL
+        .into_iter()
+        .map(|spec| (spec.to_string(), spec.build(8, &PicosConfig::balanced())))
+        .collect();
+    for threads in [1usize, 4] {
+        let backend = BackendSpec::Cluster(4)
+            .builder(8)
+            .picos(&PicosConfig::balanced())
+            .threads(Some(threads))
+            .build();
+        backends.push((format!("cluster4 t{threads}"), backend));
+    }
+    for (label, backend) in &backends {
+        for window in [None, Some(8)] {
+            let cfg = SessionConfig {
+                window,
+                ..SessionConfig::batch().with_spans()
+            };
+            let mut s = backend.open_with(cfg).unwrap();
+            let mut drained = feed_randomly(&mut *s, &trace, 0xD2A1);
+            s.advance_to(s.now() + 20_000);
+            s.drain_events(&mut drained);
+            let out = s.finish_full().unwrap();
+            let log = out.spans.expect("opened with spans");
+            assert!(
+                drained.iter().any(|e| e.kind == SpanKind::Finished),
+                "{label} window {window:?}: drains must see the run progress"
+            );
+            assert!(
+                log.events().starts_with(&drained),
+                "{label} window {window:?}: drained events are not a prefix of the finished log"
+            );
         }
     }
 }
