@@ -52,8 +52,8 @@
 use crate::config::{ClusterConfig, ClusterError};
 use picos_hil::Link;
 use picos_trace::rng::SplitMix64;
-use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::Value;
+use picos_trace::snap::{guard, Dec, Enc, Snap, SnapError};
+use picos_trace::{snap_record, Value};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A shard ingress pause window: deliveries into `shard` arriving at
@@ -97,6 +97,13 @@ pub struct FaultCounters {
     /// first execution.
     pub recoveries: u64,
 }
+
+snap_record!(FaultCounters {
+    drops,
+    retries,
+    redeliveries,
+    recoveries
+});
 
 /// A deterministic, seeded fault schedule for one cluster run.
 ///
@@ -289,6 +296,8 @@ pub(crate) struct Packet<P> {
     pub(crate) msg: P,
 }
 
+snap_record!(Packet<P> { id, drop, msg });
+
 impl<P> Packet<P> {
     /// Wraps a message for a fault-free session: no tracking, no fate.
     pub(crate) fn plain(msg: P) -> Self {
@@ -310,6 +319,15 @@ struct Pending<P> {
     deadline: u64,
     msg: P,
 }
+
+snap_record!(Pending<P> {
+    from,
+    to,
+    words,
+    attempts,
+    deadline,
+    msg
+});
 
 /// The runtime state of an attached [`FaultPlan`]: the RNG stream, the
 /// sender-side pending/retry tables, receiver-side dedup and pause
@@ -592,146 +610,90 @@ impl<P: Clone> FaultState<P> {
         let p = self.pending.remove(&id).expect("checked above");
         self.deadlines.remove(&(p.deadline, id));
     }
+}
 
-    /// Serializes the dynamic fault-layer state, encoding each in-flight
-    /// payload with `enc_msg`. Plan-derived fields (`track`, the pause
-    /// windows, the worker-fault schedule) are rebuilt from the plan by
-    /// [`FaultState::new`] and not recorded; the RNG resumes from its raw
-    /// state, so fault draws continue exactly where they left off.
-    pub(crate) fn save_state_with(&self, enc_msg: impl Fn(&mut Enc, &P)) -> Value {
-        let mut pend: Vec<(u32, &Pending<P>)> =
-            self.pending.iter().map(|(&id, p)| (id, p)).collect();
-        pend.sort_unstable_by_key(|&(id, _)| id);
-        let mut delivered: Vec<u32> = self.delivered.iter().copied().collect();
+impl<P: Snap> FaultState<P> {
+    /// Serializes the dynamic fault-layer state. Plan-derived fields
+    /// (`track`, the pause windows, the worker-fault schedule) are rebuilt
+    /// from the plan by [`FaultState::new`] and not recorded; the RNG
+    /// resumes from its raw state, so fault draws continue exactly where
+    /// they left off.
+    pub(crate) fn save_state(&self) -> Value {
+        let Self {
+            plan: _,
+            rng,
+            track: _,
+            next_id,
+            pending,
+            deadlines,
+            delivered,
+            pauses: _,
+            deferred,
+            worker_faults: _,
+            wf_next,
+            counters,
+            error,
+        } = self;
+        let mut pending: Vec<(u32, &Pending<P>)> = pending.iter().map(|(&id, p)| (id, p)).collect();
+        pending.sort_unstable_by_key(|&(id, _)| id);
+        let mut delivered: Vec<u32> = delivered.iter().copied().collect();
         delivered.sort_unstable();
+        let error = error.as_ref().map(|err| match *err {
+            ClusterError::LinkTimeout {
+                from,
+                to,
+                at,
+                attempts,
+            } => (from, to, at, attempts),
+            _ => unreachable!("only LinkTimeout is ever recorded here"),
+        });
         let mut e = Enc::new();
-        e.u64(self.rng.state())
-            .u32(self.next_id)
-            .seq(pend, |e, (id, p)| {
-                e.u32(id)
-                    .u64(p.from as u64)
-                    .u64(p.to as u64)
-                    .u32(p.words)
-                    .u32(p.attempts)
-                    .u64(p.deadline);
-                enc_msg(e, &p.msg);
-            })
-            .seq(self.deadlines.iter(), |e, &(d, id)| {
-                e.u64(d).u32(id);
-            })
-            .u32s(delivered)
-            .seq(self.deferred.iter(), |e, q| {
-                e.seq(q.iter(), |e, (release, pkt)| {
-                    e.u64(*release).u32(pkt.id).bool(pkt.drop);
-                    enc_msg(e, &pkt.msg);
-                });
-            })
-            .usize(self.wf_next)
-            .u64(self.counters.drops)
-            .u64(self.counters.retries)
-            .u64(self.counters.redeliveries)
-            .u64(self.counters.recoveries)
-            .val(match &self.error {
-                Some(ClusterError::LinkTimeout {
-                    from,
-                    to,
-                    at,
-                    attempts,
-                }) => {
-                    let mut e = Enc::new();
-                    e.u64(*from as u64).u64(*to as u64).u64(*at).u32(*attempts);
-                    e.done()
-                }
-                Some(_) => unreachable!("only LinkTimeout is ever recorded here"),
-                None => Value::Null,
-            });
+        e.put(&rng.state())
+            .put(next_id)
+            .pairs(pending)
+            .seq(deadlines)
+            .put(&delivered)
+            .put(deferred)
+            .put(wf_next)
+            .put(counters)
+            .put(&error);
         e.done()
     }
 
-    /// Overwrites the dynamic state from [`FaultState::save_state_with`]
-    /// output, decoding each payload with `dec_msg`. The plan itself is
-    /// guarded by the session's configuration fingerprint, not here.
+    /// Overwrites the dynamic state from [`FaultState::save_state`]
+    /// output. The plan itself is guarded by the session's configuration
+    /// fingerprint, not here.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on a malformed record or a deferred-queue
-    /// shape that does not match the plan's shard count.
-    pub(crate) fn load_state_with(
-        &mut self,
-        v: &Value,
-        dec_msg: impl Fn(&mut Dec) -> Result<P, SnapError>,
-    ) -> Result<(), SnapError> {
+    /// Returns [`SnapError`] on a malformed record, a deferred-queue shape
+    /// that does not match the plan's shard count or a worker-fault cursor
+    /// past the schedule.
+    pub(crate) fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "fault state")?;
-        let rng = SplitMix64::new(d.u64()?);
-        let next_id = d.u32()?;
-        let pending: Vec<(u32, Pending<P>)> = d.seq(|d| {
-            Ok((
-                d.u32()?,
-                Pending {
-                    from: d.u16()?,
-                    to: d.u16()?,
-                    words: d.u32()?,
-                    attempts: d.u32()?,
-                    deadline: d.u64()?,
-                    msg: dec_msg(d)?,
-                },
-            ))
-        })?;
-        let deadlines: Vec<(u64, u32)> = d.seq(|d| Ok((d.u64()?, d.u32()?)))?;
-        let delivered = d.u32s()?;
-        let deferred: Vec<VecDeque<(u64, Packet<P>)>> = d.seq(|d| {
-            Ok(d.seq(|d| {
-                Ok((
-                    d.u64()?,
-                    Packet {
-                        id: d.u32()?,
-                        drop: d.bool()?,
-                        msg: dec_msg(d)?,
-                    },
-                ))
-            })?
-            .into())
-        })?;
-        if deferred.len() != self.deferred.len() {
-            return Err(SnapError::new(format!(
-                "fault state: {} deferred queues for {} shards",
-                deferred.len(),
-                self.deferred.len()
-            )));
-        }
-        let wf_next = d.usize()?;
-        if wf_next > self.worker_faults.len() {
+        let shards = self.deferred.len();
+        self.rng = SplitMix64::new(d.take()?);
+        self.next_id = d.take()?;
+        self.pending = d.take::<Vec<(u32, Pending<P>)>>()?.into_iter().collect();
+        self.deadlines = d.take::<Vec<(u64, u32)>>()?.into_iter().collect();
+        self.delivered = d.take::<Vec<u32>>()?.into_iter().collect();
+        self.deferred = d.take()?;
+        guard("fault deferred queues", self.deferred.len(), shards)?;
+        self.wf_next = d.take()?;
+        if self.wf_next > self.worker_faults.len() {
             return Err(SnapError::new(
                 "fault state: worker-fault cursor out of range",
             ));
         }
-        let counters = FaultCounters {
-            drops: d.u64()?,
-            retries: d.u64()?,
-            redeliveries: d.u64()?,
-            recoveries: d.u64()?,
-        };
-        let error = match d.val()? {
-            Value::Null => None,
-            v => {
-                let mut d = Dec::new(v, "fault error")?;
-                Some(ClusterError::LinkTimeout {
-                    from: d.u16()?,
-                    to: d.u16()?,
-                    at: d.u64()?,
-                    attempts: d.u32()?,
-                })
-            }
-        };
-        self.rng = rng;
-        self.next_id = next_id;
-        self.pending = pending.into_iter().collect();
-        self.deadlines = deadlines.into_iter().collect();
-        self.delivered = delivered.into_iter().collect();
-        self.deferred = deferred;
-        self.wf_next = wf_next;
-        self.counters = counters;
-        self.error = error;
+        self.counters = d.take()?;
+        self.error = d
+            .take::<Option<(u16, u16, u64, u32)>>()?
+            .map(|(from, to, at, attempts)| ClusterError::LinkTimeout {
+                from,
+                to,
+                at,
+                attempts,
+            });
         Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! Snapshot/restore for [`ClusterSession`]: the full dynamic cluster
 //! state — every shard core, worker pool and interconnect port, the
 //! ingress reorder stages, the Distributor's per-task plan, the fault
-//! layer and the observation state — through the positional codec.
+//! layer and the observation state — through the [`Snap`] codecs.
 //!
 //! The restore contract mirrors the other engines': build a session with
 //! the *identical* configuration, then [`ClusterSession::load_state`]
@@ -14,14 +14,11 @@
 
 use super::{ClusterMsg, ClusterSession};
 use crate::config::{ClusterConfig, ShardPolicy};
-use crate::fault::Packet;
-use picos_core::SlotRef;
-use picos_metrics::span::SpanLog;
-use picos_metrics::WindowSampler;
-use picos_runtime::snap::{dir_code, dir_from};
-use picos_trace::snap::{guard, Dec, Enc, SnapError};
+use picos_core::{PicosSystem, SlotRef};
+use picos_hil::{Link, Workers};
+use picos_trace::snap::{guard, Dec, Enc, Snap, SnapError};
 use picos_trace::{Dependence, Value};
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Stable wire code of a placement policy.
@@ -79,69 +76,36 @@ fn cluster_fingerprint(cfg: &ClusterConfig) -> u64 {
     h
 }
 
-/// Packs a TM slot reference into one integer (`trs << 16 | entry`).
-fn slot_pack(s: SlotRef) -> u64 {
-    (s.trs as u64) << 16 | s.entry as u64
-}
+/// An interconnect message: one variant code, then its fields.
+impl Snap for ClusterMsg {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            ClusterMsg::Register { task, deps } => e.put(&0u8).put(task).put(deps),
+            ClusterMsg::Ready { task } => e.put(&1u8).put(task),
+            ClusterMsg::Finish { task } => e.put(&2u8).put(task),
+        };
+    }
 
-fn slot_unpack(v: u64) -> SlotRef {
-    SlotRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-fn enc_deps(e: &mut Enc, deps: &Arc<[Dependence]>) {
-    e.seq(deps.iter(), |e, d| {
-        e.u64(d.addr).u64(dir_code(d.dir));
-    });
-}
-
-fn dec_deps(d: &mut Dec) -> Result<Arc<[Dependence]>, SnapError> {
-    let deps: Vec<Dependence> = d.seq(|d| Ok(Dependence::new(d.u64()?, dir_from(d.u64()?)?)))?;
-    Ok(deps.into())
-}
-
-/// Encodes one interconnect message (variant code first).
-fn enc_cluster_msg(e: &mut Enc, m: &ClusterMsg) {
-    match m {
-        ClusterMsg::Register { task, deps } => {
-            e.u64(0).u32(*task);
-            enc_deps(e, deps);
-        }
-        ClusterMsg::Ready { task } => {
-            e.u64(1).u32(*task);
-        }
-        ClusterMsg::Finish { task } => {
-            e.u64(2).u32(*task);
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        match d.u64()? {
+            0 => Ok(ClusterMsg::Register {
+                task: d.take()?,
+                deps: d.take()?,
+            }),
+            1 => Ok(ClusterMsg::Ready { task: d.take()? }),
+            2 => Ok(ClusterMsg::Finish { task: d.take()? }),
+            other => Err(SnapError::new(format!(
+                "unknown cluster message code {other}"
+            ))),
         }
     }
 }
 
-/// Decodes one interconnect message written by [`enc_cluster_msg`].
-fn dec_cluster_msg(d: &mut Dec) -> Result<ClusterMsg, SnapError> {
-    match d.u64()? {
-        0 => Ok(ClusterMsg::Register {
-            task: d.u32()?,
-            deps: dec_deps(d)?,
-        }),
-        1 => Ok(ClusterMsg::Ready { task: d.u32()? }),
-        2 => Ok(ClusterMsg::Finish { task: d.u32()? }),
-        other => Err(SnapError::new(format!(
-            "unknown cluster message code {other}"
-        ))),
-    }
-}
-
-/// Encodes one wire packet: the fault envelope plus its message.
-fn enc_packet(e: &mut Enc, p: &Packet<ClusterMsg>) {
-    e.u32(p.id).bool(p.drop);
-    enc_cluster_msg(e, &p.msg);
-}
-
-fn dec_packet(d: &mut Dec) -> Result<Packet<ClusterMsg>, SnapError> {
-    Ok(Packet {
-        id: d.u32()?,
-        drop: d.bool()?,
-        msg: dec_cluster_msg(d)?,
-    })
+/// A map as its entries in ascending key order.
+fn sorted<V: Clone>(m: &HashMap<u32, V>) -> Vec<(u32, V)> {
+    let mut entries: Vec<(u32, V)> = m.iter().map(|(&k, v)| (k, v.clone())).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    entries
 }
 
 impl ClusterSession {
@@ -149,81 +113,76 @@ impl ClusterSession {
     /// [`ClusterSession::load_state`] overwrites an identically configured
     /// session with it; [`Clone`] is the in-memory fork.
     pub fn save_state(&self) -> Value {
+        let Self {
+            cfg,
+            sys,
+            workers,
+            links,
+            expected,
+            arrived,
+            slot_at,
+            exec_q,
+            placement,
+            local,
+            remote,
+            frag_total,
+            frag_ready,
+            local_popped,
+            local_slot,
+            durs,
+            rr,
+            counts: _,
+            empty_deps: _,
+            next_feed,
+            t,
+            touched: _,
+            ingest,
+            log,
+            link_sent,
+            sampler,
+            spans,
+            faults,
+            restarts,
+            engine_err: _,
+        } = self;
+        let arrived: Vec<_> = arrived.iter().map(sorted).collect();
+        let slot_at: Vec<_> = slot_at.iter().map(sorted).collect();
+        let mut restarts: Vec<u32> = restarts.iter().copied().collect();
+        restarts.sort_unstable();
         let mut e = Enc::new();
-        e.u64(cluster_fingerprint(&self.cfg))
-            .bool(self.sampler.is_some())
-            .bool(self.spans.is_some())
-            .bool(self.faults.is_some())
+        e.put(&cluster_fingerprint(cfg))
+            .put(&sampler.is_some())
+            .put(&spans.is_some())
+            .put(&faults.is_some())
             .val(Value::Arr(
-                self.sys.iter().map(|s| s.save_state()).collect(),
+                sys.iter().map(PicosSystem::save_state).collect(),
             ))
             .val(Value::Arr(
-                self.workers.iter().map(|w| w.save_state()).collect(),
+                workers.iter().map(Workers::save_state).collect(),
             ))
-            .val(Value::Arr(
-                self.links
-                    .iter()
-                    .map(|l| l.save_state_with(enc_packet))
-                    .collect(),
-            ))
-            .seq(self.expected.iter(), |e, q| {
-                e.u32s(q.iter().copied());
-            })
-            .seq(self.arrived.iter(), |e, m| {
-                let mut entries: Vec<(u32, &Arc<[Dependence]>)> =
-                    m.iter().map(|(&t, d)| (t, d)).collect();
-                entries.sort_unstable_by_key(|&(t, _)| t);
-                e.seq(entries, |e, (t, deps)| {
-                    e.u32(t);
-                    enc_deps(e, deps);
-                });
-            })
-            .seq(self.slot_at.iter(), |e, m| {
-                let mut entries: Vec<(u32, SlotRef)> = m.iter().map(|(&t, &s)| (t, s)).collect();
-                entries.sort_unstable_by_key(|&(t, _)| t);
-                e.seq(entries, |e, (t, slot)| {
-                    e.u32(t).u64(slot_pack(slot));
-                });
-            })
-            .seq(self.exec_q.iter(), |e, q| {
-                e.u32s(q.iter().copied());
-            })
-            .u64s(self.placement.iter().map(|&p| p as u64))
-            .seq(self.local.iter(), enc_deps)
-            .seq(self.remote.iter(), |e, frags| {
-                e.seq(frags.iter(), |e, (shard, deps)| {
-                    e.u64(*shard as u64);
-                    enc_deps(e, deps);
-                });
-            })
-            .u64s(self.frag_total.iter().map(|&v| v as u64))
-            .u64s(self.frag_ready.iter().map(|&v| v as u64))
-            .bools(self.local_popped.iter().copied())
-            .u64s(self.local_slot.iter().map(|&s| slot_pack(s)))
-            .u64s(self.durs.iter().copied())
-            .usize(self.rr)
-            .usize(self.next_feed)
-            .u64(self.t)
-            .u64s(self.link_sent.iter().copied())
-            .u32s({
-                let mut r: Vec<u32> = self.restarts.iter().copied().collect();
-                r.sort_unstable();
-                r
-            })
-            .val(self.ingest.save_state())
-            .val(self.log.save_state())
-            .val(match &self.sampler {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            })
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            })
-            .val(match &self.faults {
-                Some(f) => f.save_state_with(enc_cluster_msg),
-                None => Value::Null,
-            });
+            .val(Value::Arr(links.iter().map(Link::save_state).collect()))
+            .put(expected)
+            .put(&arrived)
+            .put(&slot_at)
+            .put(exec_q)
+            .put(placement)
+            .put(local)
+            .put(remote)
+            .put(frag_total)
+            .put(frag_ready)
+            .put(local_popped)
+            .put(local_slot)
+            .put(durs)
+            .put(rr)
+            .put(next_feed)
+            .put(t)
+            .put(link_sent)
+            .put(&restarts)
+            .val(ingest.save_state())
+            .nest(log)
+            .put(sampler)
+            .put(spans)
+            .val(faults.as_ref().map_or(Value::Null, |f| f.save_state()));
         e.done()
     }
 
@@ -236,145 +195,66 @@ impl ClusterSession {
     ///
     /// Returns [`SnapError`] on a malformed record or when the snapshot
     /// was taken under a different cluster configuration, fault plan or
-    /// observation setup.
+    /// observation setup; the session must then be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let k = self.cfg.shards;
         let mut d = Dec::new(v, "cluster session")?;
-        guard("cluster config", d.u64()?, cluster_fingerprint(&self.cfg))?;
-        guard(
-            "cluster sampler attached",
-            d.bool()? as u64,
-            self.sampler.is_some() as u64,
+        d.guard("cluster config", cluster_fingerprint(&self.cfg))?;
+        d.guard("cluster sampler attached", self.sampler.is_some())?;
+        d.guard("cluster spans attached", self.spans.is_some())?;
+        d.guard("cluster fault layer attached", self.faults.is_some())?;
+        d.each(
+            &mut self.sys,
+            "cluster shard cores",
+            PicosSystem::load_state,
         )?;
-        guard(
-            "cluster spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
+        d.each(
+            &mut self.workers,
+            "cluster worker pools",
+            Workers::load_state,
         )?;
-        guard(
-            "cluster fault layer attached",
-            d.bool()? as u64,
-            self.faults.is_some() as u64,
-        )?;
-        let sys = d.val()?;
-        let workers = d.val()?;
-        let links = d.val()?;
-        let expected: Vec<VecDeque<u32>> = d.seq(|d| Ok(d.u32s()?.into()))?;
-        let arrived: Vec<Vec<(u32, Arc<[Dependence]>)>> =
-            d.seq(|d| d.seq(|d| Ok((d.u32()?, dec_deps(d)?))))?;
-        let slot_at: Vec<Vec<(u32, SlotRef)>> =
-            d.seq(|d| d.seq(|d| Ok((d.u32()?, slot_unpack(d.u64()?)))))?;
-        let exec_q: Vec<VecDeque<u32>> = d.seq(|d| Ok(d.u32s()?.into()))?;
-        for (name, len) in [
-            ("expected", expected.len()),
-            ("arrived", arrived.len()),
-            ("slot_at", slot_at.len()),
-            ("exec_q", exec_q.len()),
-        ] {
-            if len != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {len} {name} columns for {k} shards"
-                )));
-            }
-        }
-        let placement: Vec<u16> = d.u64s()?.into_iter().map(|v| v as u16).collect();
-        let local: Vec<Arc<[Dependence]>> = d.seq(dec_deps)?;
-        let remote: Vec<Vec<(u16, Arc<[Dependence]>)>> =
-            d.seq(|d| d.seq(|d| Ok((d.u64()? as u16, dec_deps(d)?))))?;
-        let frag_total: Vec<u8> = d.u64s()?.into_iter().map(|v| v as u8).collect();
-        let frag_ready: Vec<u8> = d.u64s()?.into_iter().map(|v| v as u8).collect();
-        let local_popped = d.bools()?;
-        let local_slot: Vec<SlotRef> = d.u64s()?.into_iter().map(slot_unpack).collect();
-        let durs = d.u64s()?;
-        let rr = d.usize()?;
-        let next_feed = d.usize()?;
-        let t = d.u64()?;
-        let link_sent = d.u64s()?;
-        if link_sent.len() != k {
-            return Err(SnapError::new(format!(
-                "cluster session: {} link counters for {k} shards",
-                link_sent.len()
-            )));
-        }
-        let restarts = d.u32s()?;
-        // Everything decoded; now apply, overwriting in place so a decode
-        // error above leaves the session untouched.
-        {
-            let mut d = Dec::new(sys, "cluster shard cores")?;
-            if d.remaining() != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {} shard cores for {k} shards",
-                    d.remaining()
-                )));
-            }
-            for s in self.sys.iter_mut() {
-                s.load_state(d.val()?)?;
-            }
-        }
-        {
-            let mut d = Dec::new(workers, "cluster worker pools")?;
-            if d.remaining() != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {} worker pools for {k} shards",
-                    d.remaining()
-                )));
-            }
-            for w in self.workers.iter_mut() {
-                w.load_state(d.val()?)?;
-            }
-        }
-        {
-            let mut d = Dec::new(links, "cluster links")?;
-            if d.remaining() != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {} links for {k} shards",
-                    d.remaining()
-                )));
-            }
-            for l in self.links.iter_mut() {
-                l.load_state_with(d.val()?, dec_packet)?;
-            }
-        }
+        d.each(&mut self.links, "cluster links", Link::load_state)?;
+        self.expected = d.take()?;
+        self.arrived = d
+            .take::<Vec<Vec<(u32, Arc<[Dependence]>)>>>()?
+            .into_iter()
+            .map(HashMap::from_iter)
+            .collect();
+        self.slot_at = d
+            .take::<Vec<Vec<(u32, SlotRef)>>>()?
+            .into_iter()
+            .map(HashMap::from_iter)
+            .collect();
+        self.exec_q = d.take()?;
+        guard("cluster expected columns", self.expected.len(), k)?;
+        guard("cluster arrived columns", self.arrived.len(), k)?;
+        guard("cluster slot_at columns", self.slot_at.len(), k)?;
+        guard("cluster exec_q columns", self.exec_q.len(), k)?;
+        self.placement = d.take()?;
+        self.local = d.take()?;
+        self.remote = d.take()?;
+        self.frag_total = d.take()?;
+        self.frag_ready = d.take()?;
+        self.local_popped = d.take()?;
+        self.local_slot = d.take()?;
+        self.durs = d.take()?;
+        self.rr = d.take()?;
+        self.next_feed = d.take()?;
+        self.t = d.take()?;
+        self.link_sent = d.take()?;
+        guard("cluster link counters", self.link_sent.len(), k)?;
+        self.restarts = d.take::<Vec<u32>>()?.into_iter().collect();
         self.ingest.load_state(d.val()?)?;
-        self.log.load_state(d.val()?)?;
-        self.sampler = match d.val()? {
-            Value::Null => None,
-            v => Some(WindowSampler::load_state(v)?),
-        };
-        self.spans = match d.val()? {
-            Value::Null => None,
-            v => Some(SpanLog::load_state(v)?),
-        };
+        self.log = d.nest()?;
+        self.sampler = d.take()?;
+        self.spans = d.take()?;
         match (&mut self.faults, d.val()?) {
             (None, Value::Null) => {}
-            (Some(f), v) => f.load_state_with(v, dec_cluster_msg)?,
+            (Some(f), v) => f.load_state(v)?,
             (None, _) => {
                 return Err(SnapError::new("cluster session: unexpected fault state"));
             }
         }
-        self.expected = expected;
-        self.arrived = arrived
-            .into_iter()
-            .map(|m| m.into_iter().collect())
-            .collect();
-        self.slot_at = slot_at
-            .into_iter()
-            .map(|m| m.into_iter().collect())
-            .collect();
-        self.exec_q = exec_q;
-        self.placement = placement;
-        self.local = local;
-        self.remote = remote;
-        self.frag_total = frag_total;
-        self.frag_ready = frag_ready;
-        self.local_popped = local_popped;
-        self.local_slot = local_slot;
-        self.durs = durs;
-        self.rr = rr;
-        self.next_feed = next_feed;
-        self.t = t;
-        self.link_sent = link_sent;
-        self.restarts = restarts.into_iter().collect();
         self.engine_err = None;
         Ok(())
     }

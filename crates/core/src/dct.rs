@@ -14,6 +14,8 @@ use crate::msg::{DepFinMsg, NewDepMsg, ResolveKind, TrsMsg, VmRef};
 use crate::stats::{hist_bucket, DM_CHAIN_BOUNDS};
 use crate::vm::{Vm, VmEntry};
 use crate::Cycle;
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{SnapError, Value};
 
 /// Packets a DCT emits while handling one message (all routed via the ARB).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +77,7 @@ impl Dct {
     }
 
     /// DM version-chain depth observed after each successful
-    /// registration, bucketed by [`DM_CHAIN_BOUNDS`].
+    /// registration, bucketed by `DM_CHAIN_BOUNDS`.
     pub fn chain_hist(&self) -> &[u64; DM_CHAIN_BOUNDS.len() + 1] {
         &self.chain_hist
     }
@@ -281,15 +283,22 @@ impl Dct {
 
     /// Serializes the dynamic state: the DM, the VM and the instance
     /// counters.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use picos_trace::snap::Enc;
+    pub fn save_state(&self) -> Value {
+        let Self {
+            id,
+            dm,
+            vm,
+            deps_processed,
+            wakes_sent,
+            chain_hist,
+        } = self;
         let mut e = Enc::new();
-        e.u64(self.id as u64)
-            .val(self.dm.save_state())
-            .val(self.vm.save_state())
-            .u64(self.deps_processed)
-            .u64(self.wakes_sent)
-            .u64s(self.chain_hist.iter().copied());
+        e.put(id)
+            .val(dm.save_state())
+            .val(vm.save_state())
+            .put(deps_processed)
+            .put(wakes_sent)
+            .seq(chain_hist);
         e.done()
     }
 
@@ -297,19 +306,17 @@ impl Dct {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or an
-    /// instance mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or an instance mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "dct")?;
-        guard("dct id", d.u64()?, self.id as u64)?;
+        d.guard("dct id", self.id)?;
         self.dm.load_state(d.val()?)?;
         self.vm.load_state(d.val()?)?;
-        self.deps_processed = d.u64()?;
-        self.wakes_sent = d.u64()?;
-        let hist = d.u64s()?;
+        self.deps_processed = d.take()?;
+        self.wakes_sent = d.take()?;
+        let hist: Vec<u64> = d.take()?;
         if hist.len() != self.chain_hist.len() {
-            return Err(picos_trace::SnapError::new("dct: histogram shape mismatch"));
+            return Err(SnapError::new("dct: histogram shape mismatch"));
         }
         self.chain_hist.copy_from_slice(&hist);
         Ok(())

@@ -16,6 +16,9 @@
 use crate::config::DmDesign;
 use crate::msg::VmRef;
 use crate::pearson::{direct_index, pearson_index};
+use crate::snap::{put_live, take_live};
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{snap_record, SnapError, Value};
 
 /// Location of a DM entry: `(set, way)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +45,15 @@ struct DmEntry {
     /// Whether every arrival so far was an input (the paper's `I` bit).
     all_inputs: bool,
 }
+
+snap_record!(DmEntry {
+    tag,
+    vm_head,
+    vm_tail,
+    live_versions,
+    refs,
+    all_inputs
+});
 
 /// Outcome of a DM lookup-or-insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,28 +285,20 @@ impl Dm {
 impl Dm {
     /// Serializes the dynamic state: conflict/peak counters and every live
     /// way. Occupancy counts and the live total are derived on load.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::vm_pack;
-        use picos_trace::snap::Enc;
-        let live = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)));
+    pub fn save_state(&self) -> Value {
+        let Self {
+            design: _,
+            sets,
+            ways,
+            entries,
+            occupancy: _,
+            live: _,
+            conflicts,
+            peak_live,
+        } = self;
         let mut e = Enc::new();
-        e.usize(self.sets)
-            .usize(self.ways)
-            .u64(self.conflicts)
-            .usize(self.peak_live)
-            .seq(live, |e, (idx, ent)| {
-                e.usize(idx)
-                    .u64(ent.tag)
-                    .u64(vm_pack(ent.vm_head))
-                    .u64(vm_pack(ent.vm_tail))
-                    .u32(ent.live_versions)
-                    .u32(ent.refs)
-                    .bool(ent.all_inputs);
-            });
+        e.put(sets).put(ways).put(conflicts).put(peak_live);
+        put_live(&mut e, entries);
         e.done()
     }
 
@@ -302,47 +306,16 @@ impl Dm {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// geometry mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::vm_unpack;
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a geometry mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "dm")?;
-        guard("dm sets", d.u64()?, self.sets as u64)?;
-        guard("dm ways", d.u64()?, self.ways as u64)?;
-        let conflicts = d.u64()?;
-        let peak_live = d.usize()?;
-        let live = d.seq(|d| {
-            let idx = d.usize()?;
-            let tag = d.u64()?;
-            let vm_head = vm_unpack(d.u64()?);
-            let vm_tail = vm_unpack(d.u64()?);
-            let live_versions = d.u32()?;
-            let refs = d.u32()?;
-            let all_inputs = d.bool()?;
-            Ok((
-                idx,
-                DmEntry {
-                    tag,
-                    vm_head,
-                    vm_tail,
-                    live_versions,
-                    refs,
-                    all_inputs,
-                },
-            ))
-        })?;
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.occupancy.iter_mut().for_each(|o| *o = 0);
-        self.conflicts = conflicts;
-        self.peak_live = peak_live;
-        self.live = live.len();
-        for (idx, ent) in live {
-            if idx >= self.entries.len() {
-                return Err(picos_trace::SnapError::new("dm: live index out of range"));
-            }
-            self.occupancy[idx / self.ways] += 1;
-            self.entries[idx] = Some(ent);
+        d.guard("dm sets", self.sets)?;
+        d.guard("dm ways", self.ways)?;
+        self.conflicts = d.take()?;
+        self.peak_live = d.take()?;
+        self.live = take_live(&mut d, &mut self.entries, "dm")?;
+        for (set, ways) in self.entries.chunks(self.ways).enumerate() {
+            self.occupancy[set] = ways.iter().filter(|e| e.is_some()).count() as u16;
         }
         Ok(())
     }

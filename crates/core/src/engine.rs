@@ -55,7 +55,8 @@ use crate::vm::Vm;
 use crate::Cycle;
 use picos_metrics::span::{SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
-use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::snap::{guard, Dec, Enc, Snap, SnapError};
+use picos_trace::snap_record;
 use picos_trace::{Dependence, TaskId, Trace, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -1365,83 +1366,110 @@ impl PicosSystem {
 // ---------------------------------------------------------------- snapshots
 
 /// A delivery: one variant code, then that variant's fields.
-fn enc_delivery(e: &mut Enc, d: &Delivery) {
-    use crate::snap::*;
-    match d {
-        Delivery::Trs(i, m) => {
-            e.u64(0).u64(*i as u64);
-            enc_trs_msg(e, m);
-        }
-        Delivery::DctNew(i, m) => {
-            e.u64(1).u64(*i as u64);
-            enc_new_dep(e, m);
-        }
-        Delivery::DctFin(i, m) => {
-            e.u64(2).u64(*i as u64);
-            enc_dep_fin(e, *m);
-        }
-        Delivery::Arb(m) => {
-            e.u64(3);
-            enc_arb_msg(e, m);
-        }
-        Delivery::Ts(task, slot) => {
-            e.u64(4).u32(task.raw()).u64(slot_pack(*slot));
-        }
-        Delivery::ReadyOut(r) => {
-            e.u64(5)
-                .u32(r.task.raw())
-                .u64(slot_pack(r.slot))
-                .u64(r.ready_at);
-        }
-        Delivery::Wake(rank) => {
-            e.u64(6).u32(*rank);
-        }
+impl Snap for Delivery {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Delivery::Trs(i, m) => e.put(&0u8).put(i).put(m),
+            Delivery::DctNew(i, m) => e.put(&1u8).put(i).put(m),
+            Delivery::DctFin(i, m) => e.put(&2u8).put(i).put(m),
+            Delivery::Arb(m) => e.put(&3u8).put(m),
+            Delivery::Ts(task, slot) => e.put(&4u8).put(task).put(slot),
+            Delivery::ReadyOut(r) => e.put(&5u8).put(r),
+            Delivery::Wake(rank) => e.put(&6u8).put(rank),
+        };
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u64()? {
+            0 => Delivery::Trs(d.take()?, d.take()?),
+            1 => Delivery::DctNew(d.take()?, d.take()?),
+            2 => Delivery::DctFin(d.take()?, d.take()?),
+            3 => Delivery::Arb(d.take()?),
+            4 => Delivery::Ts(d.take()?, d.take()?),
+            5 => Delivery::ReadyOut(d.take()?),
+            6 => Delivery::Wake(d.take()?),
+            other => return Err(SnapError::new(format!("unknown delivery kind {other}"))),
+        })
     }
 }
 
-fn dec_delivery(d: &mut Dec<'_>) -> Result<Delivery, SnapError> {
-    use crate::snap::*;
-    Ok(match d.u64()? {
-        0 => {
-            let i = d.u64()? as u8;
-            Delivery::Trs(i, dec_trs_msg(d)?)
-        }
-        1 => {
-            let i = d.u64()? as u8;
-            Delivery::DctNew(i, dec_new_dep(d)?)
-        }
-        2 => {
-            let i = d.u64()? as u8;
-            Delivery::DctFin(i, dec_dep_fin(d)?)
-        }
-        3 => Delivery::Arb(dec_arb_msg(d)?),
-        4 => Delivery::Ts(TaskId::new(d.u32()?), slot_unpack(d.u64()?)),
-        5 => Delivery::ReadyOut(ReadyTask {
-            task: TaskId::new(d.u32()?),
-            slot: slot_unpack(d.u64()?),
-            ready_at: d.u64()?,
-        }),
-        6 => Delivery::Wake(d.u32()?),
-        other => return Err(SnapError::new(format!("unknown delivery kind {other}"))),
-    })
+snap_record!(Ev { t, seq, d });
+
+/// A FIFO is its live tail; the consumed prefix is dropped.
+impl<T: Copy + Snap> Snap for Fifo<T> {
+    fn put(&self, e: &mut Enc) {
+        e.seq(&self.buf[self.head..]);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(Fifo {
+            buf: d.take()?,
+            head: 0,
+        })
+    }
 }
 
-fn enc_new_req(e: &mut Enc, r: &NewTaskReq) {
-    e.u32(r.task.raw()).seq(r.deps.iter(), |e, dep| {
-        crate::snap::enc_dep(e, *dep);
-    });
+/// `Idle` is `[0]`; `Dispatching` is `[1, deps, slot, next]`.
+impl Snap for GwState {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            GwState::Idle => e.put(&0u8),
+            GwState::Dispatching { deps, slot, next } => e.put(&1u8).put(deps).put(slot).put(next),
+        };
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u64()? {
+            0 => GwState::Idle,
+            1 => GwState::Dispatching {
+                deps: d.take()?,
+                slot: d.take()?,
+                next: d.take()?,
+            },
+            other => return Err(SnapError::new(format!("unknown GW state {other}"))),
+        })
+    }
 }
 
-fn dec_new_req(d: &mut Dec<'_>) -> Result<NewTaskReq, SnapError> {
-    let task = TaskId::new(d.u32()?);
-    let deps = d.seq(crate::snap::dec_dep)?;
-    Ok(NewTaskReq {
-        task,
-        deps: deps.into(),
-    })
+/// The span log (nested), the shard tag and the per-slot countdowns.
+impl Snap for SpanProbe {
+    fn put(&self, e: &mut Enc) {
+        let Self {
+            log,
+            shard,
+            slot_task,
+            slot_left,
+        } = self;
+        e.nest(log).put(shard).put(slot_task).put(slot_left);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(SpanProbe {
+            log: d.nest()?,
+            shard: d.take()?,
+            slot_task: d.take()?,
+            slot_left: d.take()?,
+        })
+    }
 }
 
 impl PicosSystem {
+    /// Lengths of the per-unit tables, all derived from the config.
+    fn table_shape(&self) -> [usize; 10] {
+        [
+            self.pending.len(),
+            self.trs_busy.len(),
+            self.dct_new_busy.len(),
+            self.dct_fin_busy.len(),
+            self.dct_dm_blocked_at.len(),
+            self.dct_vm_blocked_at.len(),
+            self.slot_in_at.len(),
+            self.trs_q.len(),
+            self.dct_new_q.len(),
+            self.dct_fin_q.len(),
+        ]
+    }
+
     /// Serializes the complete dynamic state: the clock, the timing wheel
     /// (events keyed by absolute time), the wake wheel, the overflow heap,
     /// every queue, every unit table, the Gateway, telemetry and the
@@ -1449,113 +1477,109 @@ impl PicosSystem {
     /// [`PicosSystem::load_state`] overwrites an identically configured
     /// system, guarded by a config fingerprint.
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(crate::snap::config_fingerprint(&self.cfg))
-            .u64(self.now);
-        // Timing wheel: occupied slots as (absolute time, deliveries).
-        let size = self.wheel.len() as Cycle;
+        let Self {
+            cfg,
+            now,
+            wheel,
+            wheel_bits: _,
+            wheel_mask,
+            wheel_len: _,
+            wake_wheel,
+            wake_bits: _,
+            wake_words,
+            wake_slots: _,
+            overflow,
+            overflow_seq,
+            next_at,
+            pending,
+            rank_dct0: _,
+            rank_arb0: _,
+            ext_new,
+            ext_fin,
+            ready_buf,
+            trs_q,
+            dct_new_q,
+            dct_fin_q,
+            arb_q,
+            ts_q,
+            trs,
+            dct,
+            gw_state,
+            gw_blocked_counted,
+            rr_trs,
+            gw_new_busy,
+            gw_fin_busy,
+            trs_busy,
+            dct_new_busy,
+            dct_fin_busy,
+            arb_busy,
+            ts_busy,
+            scratch_trs: _,
+            scratch_dct: _,
+            in_flight,
+            stats,
+            sampler,
+            spans,
+            gw_blocked_at,
+            dct_dm_blocked_at,
+            dct_vm_blocked_at,
+            slot_in_at,
+        } = self;
+        // Wheel slots are keyed by absolute time.
         let abs = |slot: usize| -> Cycle {
-            self.now + ((slot as Cycle + size - (self.now & self.wheel_mask)) & self.wheel_mask)
+            now + ((slot as Cycle + wheel.len() as Cycle - (now & wheel_mask)) & wheel_mask)
         };
-        let occupied = self
-            .wheel
-            .iter()
+        let wakes: Vec<(Cycle, Vec<u64>)> = wake_wheel
+            .chunks(*wake_words)
             .enumerate()
-            .filter(|(_, evs)| !evs.is_empty());
-        e.seq(occupied, |e, (slot, evs)| {
-            e.u64(abs(slot)).seq(evs, enc_delivery);
-        });
-        let wakes = (0..self.wheel.len()).filter(|&slot| {
-            self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words]
-                .iter()
-                .any(|&w| w != 0)
-        });
-        e.seq(wakes, |e, slot| {
-            e.u64(abs(slot)).u64s(
-                self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words]
-                    .iter()
-                    .copied(),
-            );
-        });
-        let mut overflow: Vec<&Ev> = self.overflow.iter().map(|Reverse(ev)| ev).collect();
+            .filter(|(_, words)| words.iter().any(|&w| w != 0))
+            .map(|(slot, words)| (abs(slot), words.to_vec()))
+            .collect();
+        let mut overflow: Vec<&Ev> = overflow.iter().map(|Reverse(ev)| ev).collect();
         overflow.sort_by_key(|ev| (ev.t, ev.seq));
-        e.seq(overflow, |e, ev| {
-            e.u64(ev.t).u64(ev.seq);
-            enc_delivery(e, &ev.d);
-        });
-        e.u64(self.overflow_seq)
-            .u64(self.next_at)
-            .u64s(self.pending.iter().copied())
-            .seq(&self.ext_new, enc_new_req)
-            .seq(&self.ext_fin, |e, f| {
-                e.u32(f.task.raw()).u64(crate::snap::slot_pack(f.slot));
-            })
-            .seq(&self.ready_buf, |e, r| {
-                e.u32(r.task.raw())
-                    .u64(crate::snap::slot_pack(r.slot))
-                    .u64(r.ready_at);
-            })
-            .seq(&self.trs_q, |e, q| {
-                e.seq(&q.buf[q.head..], crate::snap::enc_trs_msg);
-            })
-            .seq(&self.dct_new_q, |e, q| {
-                e.seq(&q.buf[q.head..], crate::snap::enc_new_dep);
-            })
-            .seq(&self.dct_fin_q, |e, q| {
-                e.seq(&q.buf[q.head..], |e, m| crate::snap::enc_dep_fin(e, *m));
-            })
-            .seq(&self.arb_q.buf[self.arb_q.head..], |e, m| {
-                crate::snap::enc_arb_msg(e, m);
-            })
-            .seq(&self.ts_q.buf[self.ts_q.head..], |e, (task, slot)| {
-                e.u32(task.raw()).u64(crate::snap::slot_pack(*slot));
-            })
-            .val(Value::Arr(self.trs.iter().map(Trs::save_state).collect()))
-            .val(Value::Arr(self.dct.iter().map(Dct::save_state).collect()));
-        let mut gw = Enc::new();
-        match &self.gw_state {
-            GwState::Idle => {
-                gw.u64(0);
-            }
-            GwState::Dispatching { deps, slot, next } => {
-                gw.u64(1)
-                    .seq(deps.iter(), |e, dep| crate::snap::enc_dep(e, *dep))
-                    .u64(crate::snap::slot_pack(*slot))
-                    .usize(*next);
-            }
-        }
-        e.val(gw.done())
-            .bool(self.gw_blocked_counted)
-            .usize(self.rr_trs)
-            .u64(self.gw_new_busy)
-            .u64(self.gw_fin_busy)
-            .u64s(self.trs_busy.iter().copied())
-            .u64s(self.dct_new_busy.iter().copied())
-            .u64s(self.dct_fin_busy.iter().copied())
-            .u64(self.arb_busy)
-            .u64(self.ts_busy)
-            .usize(self.in_flight)
-            .val(self.stats.save_state())
-            .val(match &self.sampler {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            });
-        let spans = match &self.spans {
-            Some(p) => {
-                let mut se = Enc::new();
-                se.val(p.log.save_state())
-                    .u64(p.shard as u64)
-                    .u32s(p.slot_task.iter().copied())
-                    .u64s(p.slot_left.iter().map(|&b| b as u64));
-                se.done()
-            }
-            None => Value::Null,
-        };
-        e.val(spans)
-            .u64(self.gw_blocked_at)
-            .u64s(self.dct_dm_blocked_at.iter().copied())
-            .u64s(self.dct_vm_blocked_at.iter().copied())
-            .u64s(self.slot_in_at.iter().copied());
+        let mut e = Enc::new();
+        e.put(&crate::snap::config_fingerprint(cfg))
+            .put(now)
+            .pairs(
+                wheel
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, evs)| !evs.is_empty())
+                    .map(|(slot, evs)| (abs(slot), evs)),
+            )
+            .put(&wakes)
+            .seq(overflow)
+            .put(overflow_seq)
+            .put(next_at)
+            .put(pending)
+            .put(ext_new)
+            .put(ext_fin)
+            .put(ready_buf)
+            .put(trs_q)
+            .put(dct_new_q)
+            .put(dct_fin_q)
+            .put(arb_q)
+            .put(ts_q)
+            .val(Value::Arr(trs.iter().map(Trs::save_state).collect()))
+            .val(Value::Arr(dct.iter().map(Dct::save_state).collect()))
+            .nest(gw_state)
+            .put(gw_blocked_counted)
+            .put(rr_trs)
+            .put(gw_new_busy)
+            .put(gw_fin_busy)
+            .put(trs_busy)
+            .put(dct_new_busy)
+            .put(dct_fin_busy)
+            .put(arb_busy)
+            .put(ts_busy)
+            .put(in_flight)
+            .nest(stats)
+            .put(sampler)
+            .put(spans)
+            .put(gw_blocked_at)
+            .put(dct_dm_blocked_at)
+            .put(dct_vm_blocked_at)
+            .put(slot_in_at);
         e.done()
     }
 
@@ -1566,203 +1590,79 @@ impl PicosSystem {
     /// # Errors
     ///
     /// Returns [`SnapError`] on a malformed record or when the snapshot
-    /// was taken under a different configuration.
+    /// was taken under a different configuration; the system must then
+    /// be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
-        use picos_trace::snap::guard;
         let mut d = Dec::new(v, "picos")?;
-        guard(
-            "picos config",
-            d.u64()?,
-            crate::snap::config_fingerprint(&self.cfg),
-        )?;
-        let now = d.u64()?;
-        let wheel = d.seq(|d| {
-            let t = d.u64()?;
-            let evs = d.seq(dec_delivery)?;
-            Ok((t, evs))
-        })?;
-        let wakes = d.seq(|d| Ok((d.u64()?, d.u64s()?)))?;
-        let overflow = d.seq(|d| {
-            let t = d.u64()?;
-            let seq = d.u64()?;
-            let dv = dec_delivery(d)?;
-            Ok(Ev { t, seq, d: dv })
-        })?;
-        let overflow_seq = d.u64()?;
-        let next_at = d.u64()?;
-        let pending = d.u64s()?;
-        let ext_new = d.seq(dec_new_req)?;
-        let ext_fin = d.seq(|d| {
-            Ok(FinishedReq {
-                task: TaskId::new(d.u32()?),
-                slot: crate::snap::slot_unpack(d.u64()?),
-            })
-        })?;
-        let ready_buf = d.seq(|d| {
-            Ok(ReadyTask {
-                task: TaskId::new(d.u32()?),
-                slot: crate::snap::slot_unpack(d.u64()?),
-                ready_at: d.u64()?,
-            })
-        })?;
-        let trs_q = d.seq(|d| d.seq(crate::snap::dec_trs_msg))?;
-        let dct_new_q = d.seq(|d| d.seq(crate::snap::dec_new_dep))?;
-        let dct_fin_q = d.seq(|d| d.seq(crate::snap::dec_dep_fin))?;
-        let arb_q = d.seq(crate::snap::dec_arb_msg)?;
-        let ts_q = d.seq(|d| Ok((TaskId::new(d.u32()?), crate::snap::slot_unpack(d.u64()?))))?;
-        let trs_states = d
-            .val()?
-            .as_array()
-            .ok_or_else(|| SnapError::new("picos: TRS table is not an array"))?;
-        let dct_states = d
-            .val()?
-            .as_array()
-            .ok_or_else(|| SnapError::new("picos: DCT table is not an array"))?;
-        guard(
-            "picos num_trs",
-            trs_states.len() as u64,
-            self.trs.len() as u64,
-        )?;
-        guard(
-            "picos num_dct",
-            dct_states.len() as u64,
-            self.dct.len() as u64,
-        )?;
-        let gw_v = d.val()?;
-        let mut gd = Dec::new(gw_v, "gw")?;
-        let gw_state = match gd.u64()? {
-            0 => GwState::Idle,
-            1 => {
-                let deps = gd.seq(crate::snap::dec_dep)?;
-                GwState::Dispatching {
-                    deps: deps.into(),
-                    slot: crate::snap::slot_unpack(gd.u64()?),
-                    next: gd.usize()?,
-                }
-            }
-            other => return Err(SnapError::new(format!("unknown GW state {other}"))),
-        };
-        let gw_blocked_counted = d.bool()?;
-        let rr_trs = d.usize()?;
-        let gw_new_busy = d.u64()?;
-        let gw_fin_busy = d.u64()?;
-        let trs_busy = d.u64s()?;
-        let dct_new_busy = d.u64s()?;
-        let dct_fin_busy = d.u64s()?;
-        let arb_busy = d.u64()?;
-        let ts_busy = d.u64()?;
-        let in_flight = d.usize()?;
-        let stats = Stats::load_state(d.val()?)?;
-        let sampler = match d.val()? {
-            Value::Null => None,
-            v => Some(WindowSampler::load_state(v)?),
-        };
-        let spans = match d.val()? {
-            Value::Null => None,
-            v => {
-                let mut sd = Dec::new(v, "span probe")?;
-                let log = SpanLog::load_state(sd.val()?)?;
-                let shard = sd.u64()? as u16;
-                let slot_task = sd.u32s()?;
-                let slot_left: Vec<u8> = sd.u64s()?.into_iter().map(|v| v as u8).collect();
-                let slots = self.cfg.num_trs * self.cfg.tm_entries;
-                guard("span slots", slot_task.len() as u64, slots as u64)?;
-                Some(SpanProbe {
-                    log,
-                    shard,
-                    slot_task,
-                    slot_left,
-                })
-            }
-        };
-        let gw_blocked_at = d.u64()?;
-        let dct_dm_blocked_at = d.u64s()?;
-        let dct_vm_blocked_at = d.u64s()?;
-        let slot_in_at = d.u64s()?;
-        if pending.len() != self.pending.len()
-            || trs_busy.len() != self.trs_busy.len()
-            || dct_new_busy.len() != self.dct_new_busy.len()
-            || dct_fin_busy.len() != self.dct_fin_busy.len()
-            || dct_dm_blocked_at.len() != self.dct_dm_blocked_at.len()
-            || dct_vm_blocked_at.len() != self.dct_vm_blocked_at.len()
-            || slot_in_at.len() != self.slot_in_at.len()
-            || trs_q.len() != self.trs_q.len()
-            || dct_new_q.len() != self.dct_new_q.len()
-            || dct_fin_q.len() != self.dct_fin_q.len()
-        {
-            return Err(SnapError::new("picos: per-unit table shape mismatch"));
-        }
-        // All sections decoded — overwrite.
-        self.now = now;
-        for slot in &mut self.wheel {
-            slot.clear();
-        }
-        self.wheel_bits.iter_mut().for_each(|w| *w = 0);
+        d.guard("picos config", crate::snap::config_fingerprint(&self.cfg))?;
+        let shape = self.table_shape();
+        self.now = d.take()?;
+        let (now, mask) = (self.now, self.wheel_mask);
+        let outside = |t: Cycle| t < now || t - now > mask;
+        self.wheel.iter_mut().for_each(Vec::clear);
+        self.wheel_bits.fill(0);
         self.wheel_len = 0;
-        for (t, evs) in wheel {
-            if t < now || t - now > self.wheel_mask {
+        for (t, evs) in d.take::<Vec<(Cycle, Vec<Delivery>)>>()? {
+            if outside(t) {
                 return Err(SnapError::new("picos: wheel event outside horizon"));
             }
-            let slot = (t & self.wheel_mask) as usize;
+            let slot = (t & mask) as usize;
             self.wheel_bits[slot / 64] |= 1u64 << (slot % 64);
             self.wheel_len += evs.len();
             self.wheel[slot] = evs;
         }
-        self.wake_wheel.iter_mut().for_each(|w| *w = 0);
-        self.wake_bits.iter_mut().for_each(|w| *w = 0);
+        self.wake_wheel.fill(0);
+        self.wake_bits.fill(0);
         self.wake_slots = 0;
-        for (t, words) in wakes {
-            if t < now || t - now > self.wheel_mask || words.len() != self.wake_words {
+        let n = self.wake_words;
+        for (t, words) in d.take::<Vec<(Cycle, Vec<u64>)>>()? {
+            if outside(t) || words.len() != n {
                 return Err(SnapError::new("picos: wake slot outside horizon"));
             }
-            let slot = (t & self.wheel_mask) as usize;
+            let slot = (t & mask) as usize;
             self.wake_bits[slot / 64] |= 1u64 << (slot % 64);
             self.wake_slots += 1;
-            self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words]
-                .copy_from_slice(&words);
+            self.wake_wheel[slot * n..(slot + 1) * n].copy_from_slice(&words);
         }
-        self.overflow = overflow.into_iter().map(Reverse).collect();
-        self.overflow_seq = overflow_seq;
-        self.next_at = next_at;
-        self.pending = pending;
-        self.ext_new = ext_new.into();
-        self.ext_fin = ext_fin.into();
-        self.ready_buf = ready_buf.into();
-        fn fifo<T: Copy>(buf: Vec<T>) -> Fifo<T> {
-            Fifo { buf, head: 0 }
+        self.overflow = d.take::<Vec<Ev>>()?.into_iter().map(Reverse).collect();
+        self.overflow_seq = d.take()?;
+        self.next_at = d.take()?;
+        self.pending = d.take()?;
+        self.ext_new = d.take()?;
+        self.ext_fin = d.take()?;
+        self.ready_buf = d.take()?;
+        self.trs_q = d.take()?;
+        self.dct_new_q = d.take()?;
+        self.dct_fin_q = d.take()?;
+        self.arb_q = d.take()?;
+        self.ts_q = d.take()?;
+        d.each(&mut self.trs, "picos num_trs", Trs::load_state)?;
+        d.each(&mut self.dct, "picos num_dct", Dct::load_state)?;
+        self.gw_state = d.nest()?;
+        self.gw_blocked_counted = d.take()?;
+        self.rr_trs = d.take()?;
+        self.gw_new_busy = d.take()?;
+        self.gw_fin_busy = d.take()?;
+        self.trs_busy = d.take()?;
+        self.dct_new_busy = d.take()?;
+        self.dct_fin_busy = d.take()?;
+        self.arb_busy = d.take()?;
+        self.ts_busy = d.take()?;
+        self.in_flight = d.take()?;
+        self.stats = d.nest()?;
+        self.sampler = d.take()?;
+        self.spans = d.take()?;
+        if let Some(p) = &self.spans {
+            let slots = self.cfg.num_trs * self.cfg.tm_entries;
+            guard("span slots", p.slot_task.len(), slots)?;
         }
-        self.trs_q = trs_q.into_iter().map(fifo).collect();
-        self.dct_new_q = dct_new_q.into_iter().map(fifo).collect();
-        self.dct_fin_q = dct_fin_q.into_iter().map(fifo).collect();
-        self.arb_q = Fifo {
-            buf: arb_q,
-            head: 0,
-        };
-        self.ts_q = Fifo { buf: ts_q, head: 0 };
-        for (t, v) in self.trs.iter_mut().zip(trs_states) {
-            t.load_state(v)?;
+        self.gw_blocked_at = d.take()?;
+        self.dct_dm_blocked_at = d.take()?;
+        self.dct_vm_blocked_at = d.take()?;
+        self.slot_in_at = d.take()?;
+        if self.table_shape() != shape {
+            return Err(SnapError::new("picos: per-unit table shape mismatch"));
         }
-        for (dc, v) in self.dct.iter_mut().zip(dct_states) {
-            dc.load_state(v)?;
-        }
-        self.gw_state = gw_state;
-        self.gw_blocked_counted = gw_blocked_counted;
-        self.rr_trs = rr_trs;
-        self.gw_new_busy = gw_new_busy;
-        self.gw_fin_busy = gw_fin_busy;
-        self.trs_busy = trs_busy;
-        self.dct_new_busy = dct_new_busy;
-        self.dct_fin_busy = dct_fin_busy;
-        self.arb_busy = arb_busy;
-        self.ts_busy = ts_busy;
-        self.in_flight = in_flight;
-        self.stats = stats;
-        self.sampler = sampler;
-        self.spans = spans;
-        self.gw_blocked_at = gw_blocked_at;
-        self.dct_dm_blocked_at = dct_dm_blocked_at;
-        self.dct_vm_blocked_at = dct_vm_blocked_at;
-        self.slot_in_at = slot_in_at;
         Ok(())
     }
 }

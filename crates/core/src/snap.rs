@@ -1,224 +1,215 @@
-//! Shared snapshot codec helpers for the core types.
+//! Snapshot codecs for the core types shared across units.
 //!
 //! The engine's message vocabulary is re-used verbatim inside wheel
-//! events, FIFO queues and the Arbiter, so their encodings live here once.
-//! References pack into single integers (`SlotRef` = `trs << 16 | entry`,
-//! `VmRef` = `dct << 16 | idx`, `DmSlot` = `set << 32 | way`) — snapshots
-//! stay compact and the per-field cost stays one [`Enc`]/[`Dec`] call.
+//! events, FIFO queues and the Arbiter, so each message type has one
+//! [`Snap`] impl here. References pack into single scalar slots
+//! (`SlotRef` = `trs << 16 | entry`, `VmRef` = `dct << 16 | idx`,
+//! `DmSlot` = `set << 32 | way`), and [`put_live`]/[`take_live`] encode
+//! the three sparse unit tables (DM ways, TM entries, VM versions).
 
 use crate::config::PicosConfig;
-use crate::msg::{ArbMsg, DepFinMsg, NewDepMsg, ResolveKind, SlotRef, TrsMsg, VmRef};
+use crate::msg::{
+    ArbMsg, DepFinMsg, FinishedReq, NewDepMsg, NewTaskReq, ReadyTask, ResolveKind, SlotRef, TrsMsg,
+    VmRef,
+};
 use crate::stats::Stats;
 use crate::DmSlot;
-use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::{Dependence, Direction, TaskId, Value};
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
+use picos_trace::snap_record;
 
-pub(crate) fn slot_pack(s: SlotRef) -> u64 {
-    (s.trs as u64) << 16 | s.entry as u64
-}
+/// Packs two fields `lo_bits` apart into one slot; unpacking checks that
+/// the high part fits `u8` and the low part `u16`.
+macro_rules! snap_packed_ref {
+    ($ty:ident { $hi:ident, $lo:ident }, $what:literal) => {
+        impl Snap for $ty {
+            const SCALAR: bool = true;
 
-pub(crate) fn slot_unpack(v: u64) -> SlotRef {
-    SlotRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.put(&((self.$hi as u64) << 16 | self.$lo as u64));
+            }
 
-pub(crate) fn vm_pack(r: VmRef) -> u64 {
-    (r.dct as u64) << 16 | r.idx as u64
-}
-
-pub(crate) fn vm_unpack(v: u64) -> VmRef {
-    VmRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-pub(crate) fn dm_slot_pack(s: DmSlot) -> u64 {
-    (s.set as u64) << 32 | s.way as u64
-}
-
-pub(crate) fn dm_slot_unpack(v: u64) -> DmSlot {
-    DmSlot {
-        set: (v >> 32) as usize,
-        way: (v & 0xFFFF_FFFF) as usize,
-    }
-}
-
-pub(crate) fn dir_code(d: Direction) -> u64 {
-    match d {
-        Direction::In => 0,
-        Direction::Out => 1,
-        Direction::InOut => 2,
-    }
-}
-
-pub(crate) fn dir_from(code: u64) -> Result<Direction, SnapError> {
-    Ok(match code {
-        0 => Direction::In,
-        1 => Direction::Out,
-        2 => Direction::InOut,
-        other => return Err(SnapError::new(format!("unknown direction {other}"))),
-    })
-}
-
-/// A dependence packs into `(addr, dir)` slots within the current record.
-pub(crate) fn enc_dep(e: &mut Enc, d: Dependence) {
-    e.u64(d.addr).u64(dir_code(d.dir));
-}
-
-pub(crate) fn dec_dep(d: &mut Dec<'_>) -> Result<Dependence, SnapError> {
-    let addr = d.u64()?;
-    let dir = dir_from(d.u64()?)?;
-    Ok(Dependence::new(addr, dir))
-}
-
-/// A TRS message: one variant code, then that variant's fields.
-pub(crate) fn enc_trs_msg(e: &mut Enc, m: &TrsMsg) {
-    match *m {
-        TrsMsg::NewTask {
-            slot,
-            task,
-            num_deps,
-        } => {
-            e.u64(0)
-                .u64(slot_pack(slot))
-                .u32(task.raw())
-                .u64(num_deps as u64);
-        }
-        TrsMsg::Resolve {
-            slot,
-            dep_idx,
-            vm,
-            kind,
-        } => {
-            e.u64(1)
-                .u64(slot_pack(slot))
-                .u64(dep_idx as u64)
-                .u64(vm_pack(vm));
-            match kind {
-                ResolveKind::Ready => {
-                    e.bool(true).opt_u64(None);
-                }
-                ResolveKind::Dependent { prev_consumer } => {
-                    e.bool(false).opt_u64(prev_consumer.map(slot_pack));
+            #[inline]
+            fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+                let v = d.u64()?;
+                match u8::try_from(v >> 16) {
+                    Ok(hi) => Ok($ty::new(hi, v as u16)),
+                    Err(_) => Err(SnapError::new(format!(
+                        "{} {v}: {} part out of range",
+                        $what,
+                        stringify!($hi)
+                    ))),
                 }
             }
         }
-        TrsMsg::Wake { slot, vm } => {
-            e.u64(2).u64(slot_pack(slot)).u64(vm_pack(vm));
-        }
-        TrsMsg::Finished { slot } => {
-            e.u64(3).u64(slot_pack(slot));
-        }
+    };
+}
+
+snap_packed_ref!(SlotRef { trs, entry }, "slot reference");
+snap_packed_ref!(VmRef { dct, idx }, "VM reference");
+
+impl Snap for DmSlot {
+    const SCALAR: bool = true;
+
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.put(&((self.set as u64) << 32 | self.way as u64));
+    }
+
+    #[inline]
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let v = d.u64()?;
+        Ok(DmSlot {
+            set: (v >> 32) as usize,
+            way: (v & 0xFFFF_FFFF) as usize,
+        })
     }
 }
 
-pub(crate) fn dec_trs_msg(d: &mut Dec<'_>) -> Result<TrsMsg, SnapError> {
-    Ok(match d.u64()? {
-        0 => TrsMsg::NewTask {
-            slot: slot_unpack(d.u64()?),
-            task: TaskId::new(d.u32()?),
-            num_deps: d.u64()? as u8,
-        },
-        1 => {
-            let slot = slot_unpack(d.u64()?);
-            let dep_idx = d.u64()? as u8;
-            let vm = vm_unpack(d.u64()?);
-            let ready = d.bool()?;
-            let prev = d.opt_u64()?.map(slot_unpack);
+/// `Ready` is `(true, null)`; `Dependent` is `(false, prev_consumer)`.
+impl Snap for ResolveKind {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        match self {
+            ResolveKind::Ready => e.put(&true).put(&None::<SlotRef>),
+            ResolveKind::Dependent { prev_consumer } => e.put(&false).put(prev_consumer),
+        };
+    }
+
+    #[inline]
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let ready: bool = d.take()?;
+        let prev_consumer = d.take()?;
+        Ok(if ready {
+            ResolveKind::Ready
+        } else {
+            ResolveKind::Dependent { prev_consumer }
+        })
+    }
+}
+
+/// A TRS message: one variant code, then that variant's fields.
+impl Snap for TrsMsg {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            TrsMsg::NewTask {
+                slot,
+                task,
+                num_deps,
+            } => e.put(&0u8).put(slot).put(task).put(num_deps),
             TrsMsg::Resolve {
                 slot,
                 dep_idx,
                 vm,
-                kind: if ready {
-                    ResolveKind::Ready
-                } else {
-                    ResolveKind::Dependent {
-                        prev_consumer: prev,
-                    }
-                },
-            }
-        }
-        2 => TrsMsg::Wake {
-            slot: slot_unpack(d.u64()?),
-            vm: vm_unpack(d.u64()?),
-        },
-        3 => TrsMsg::Finished {
-            slot: slot_unpack(d.u64()?),
-        },
-        other => return Err(SnapError::new(format!("unknown TrsMsg kind {other}"))),
-    })
-}
+                kind,
+            } => e.put(&1u8).put(slot).put(dep_idx).put(vm).put(kind),
+            TrsMsg::Wake { slot, vm } => e.put(&2u8).put(slot).put(vm),
+            TrsMsg::Finished { slot } => e.put(&3u8).put(slot),
+        };
+    }
 
-pub(crate) fn enc_new_dep(e: &mut Enc, m: &NewDepMsg) {
-    e.u64(slot_pack(m.slot)).u64(m.dep_idx as u64);
-    enc_dep(e, m.dep);
-    e.bool(m.conflict_counted).bool(m.vm_stall_counted);
-}
-
-pub(crate) fn dec_new_dep(d: &mut Dec<'_>) -> Result<NewDepMsg, SnapError> {
-    Ok(NewDepMsg {
-        slot: slot_unpack(d.u64()?),
-        dep_idx: d.u64()? as u8,
-        dep: dec_dep(d)?,
-        conflict_counted: d.bool()?,
-        vm_stall_counted: d.bool()?,
-    })
-}
-
-pub(crate) fn enc_dep_fin(e: &mut Enc, m: DepFinMsg) {
-    e.u64(vm_pack(m.vm)).u64(slot_pack(m.from));
-}
-
-pub(crate) fn dec_dep_fin(d: &mut Dec<'_>) -> Result<DepFinMsg, SnapError> {
-    Ok(DepFinMsg {
-        vm: vm_unpack(d.u64()?),
-        from: slot_unpack(d.u64()?),
-    })
-}
-
-pub(crate) fn enc_arb_msg(e: &mut Enc, m: &ArbMsg) {
-    match m {
-        ArbMsg::ToTrs(trs, inner) => {
-            e.u64(0).u64(*trs as u64);
-            enc_trs_msg(e, inner);
-        }
-        ArbMsg::ToDctFin(dct, inner) => {
-            e.u64(1).u64(*dct as u64);
-            enc_dep_fin(e, *inner);
-        }
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u64()? {
+            0 => TrsMsg::NewTask {
+                slot: d.take()?,
+                task: d.take()?,
+                num_deps: d.take()?,
+            },
+            1 => TrsMsg::Resolve {
+                slot: d.take()?,
+                dep_idx: d.take()?,
+                vm: d.take()?,
+                kind: d.take()?,
+            },
+            2 => TrsMsg::Wake {
+                slot: d.take()?,
+                vm: d.take()?,
+            },
+            3 => TrsMsg::Finished { slot: d.take()? },
+            other => return Err(SnapError::new(format!("unknown TrsMsg kind {other}"))),
+        })
     }
 }
 
-pub(crate) fn dec_arb_msg(d: &mut Dec<'_>) -> Result<ArbMsg, SnapError> {
-    Ok(match d.u64()? {
-        0 => {
-            let trs = d.u64()? as u8;
-            ArbMsg::ToTrs(trs, dec_trs_msg(d)?)
-        }
-        1 => {
-            let dct = d.u64()? as u8;
-            ArbMsg::ToDctFin(dct, dec_dep_fin(d)?)
-        }
-        other => return Err(SnapError::new(format!("unknown ArbMsg kind {other}"))),
-    })
-}
+snap_record!(NewDepMsg {
+    slot,
+    dep_idx,
+    dep,
+    conflict_counted,
+    vm_stall_counted
+});
+snap_record!(DepFinMsg { vm, from });
+snap_record!(NewTaskReq { task, deps });
+snap_record!(FinishedReq { task, slot });
+snap_record!(ReadyTask {
+    task,
+    slot,
+    ready_at
+});
 
-impl Stats {
-    /// Serializes every counter in [`Stats::FIELDS`] order plus the two
-    /// histograms.
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64s(Self::FIELDS.iter().map(|(_, _, get, _)| get(self)))
-            .u64s(self.dm_chain_hist.iter().copied())
-            .u64s(self.trs_wake_hist.iter().copied());
-        e.done()
+/// An Arbiter message: one variant code, the destination unit, then the
+/// inner message's fields.
+impl Snap for ArbMsg {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            ArbMsg::ToTrs(trs, m) => e.put(&0u8).put(trs).put(m),
+            ArbMsg::ToDctFin(dct, m) => e.put(&1u8).put(dct).put(m),
+        };
     }
 
-    /// Rebuilds stats serialized by [`Stats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(v: &Value) -> Result<Stats, SnapError> {
-        let mut d = Dec::new(v, "stats")?;
-        let fields = d.u64s()?;
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u64()? {
+            0 => ArbMsg::ToTrs(d.take()?, d.take()?),
+            1 => ArbMsg::ToDctFin(d.take()?, d.take()?),
+            other => return Err(SnapError::new(format!("unknown ArbMsg kind {other}"))),
+        })
+    }
+}
+
+/// Encodes the live entries of a sparse unit table as `[index, entry...]`
+/// records, in index order.
+pub(crate) fn put_live<T: Snap>(e: &mut Enc, table: &[Option<T>]) {
+    e.pairs(
+        table
+            .iter()
+            .enumerate()
+            .filter_map(|(i, x)| x.as_ref().map(|x| (i, x))),
+    );
+}
+
+/// Overwrites a sparse unit table from [`put_live`] output: every slot is
+/// cleared, then each recorded entry lands at its index. Returns the
+/// number of live entries.
+pub(crate) fn take_live<T: Snap>(
+    d: &mut Dec<'_>,
+    table: &mut [Option<T>],
+    what: &str,
+) -> Result<usize, SnapError> {
+    let live: Vec<(usize, T)> = d.take()?;
+    table.iter_mut().for_each(|x| *x = None);
+    let n = live.len();
+    for (idx, x) in live {
+        *table
+            .get_mut(idx)
+            .ok_or_else(|| SnapError::new(format!("{what}: live index out of range")))? = Some(x);
+    }
+    Ok(n)
+}
+
+/// Every counter in [`Stats::FIELDS`] order, then the two histograms.
+impl Snap for Stats {
+    fn put(&self, e: &mut Enc) {
+        let counters: Vec<u64> = Self::FIELDS
+            .iter()
+            .map(|(_, _, get, _)| get(self))
+            .collect();
+        e.put(&counters)
+            .seq(&self.dm_chain_hist)
+            .seq(&self.trs_wake_hist);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let fields: Vec<u64> = d.take()?;
         if fields.len() != Self::FIELDS.len() {
             return Err(SnapError::new("stats: field count mismatch"));
         }
@@ -226,8 +217,8 @@ impl Stats {
         for ((_, _, _, set), v) in Self::FIELDS.iter().zip(fields) {
             set(&mut s, v);
         }
-        let dm = d.u64s()?;
-        let wake = d.u64s()?;
+        let dm: Vec<u64> = d.take()?;
+        let wake: Vec<u64> = d.take()?;
         if dm.len() != s.dm_chain_hist.len() || wake.len() != s.trs_wake_hist.len() {
             return Err(SnapError::new("stats: histogram shape mismatch"));
         }
@@ -287,15 +278,35 @@ pub(crate) fn config_fingerprint(cfg: &PicosConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picos_trace::{TaskId, Value};
+
+    fn save<T: Snap>(v: &T) -> Value {
+        let mut e = Enc::new();
+        e.put(v);
+        e.done()
+    }
+
+    fn load<T: Snap>(v: &Value) -> Result<T, SnapError> {
+        Dec::new(v, "test")?.take()
+    }
 
     #[test]
     fn refs_pack_roundtrip() {
         let s = SlotRef::new(3, 65535);
-        assert_eq!(slot_unpack(slot_pack(s)), s);
+        assert_eq!(save(&s), Value::Arr(vec![Value::Int(3 << 16 | 65535)]));
+        assert_eq!(load::<SlotRef>(&save(&s)).unwrap(), s);
         let v = VmRef::new(255, 1);
-        assert_eq!(vm_unpack(vm_pack(v)), v);
+        assert_eq!(load::<VmRef>(&save(&v)).unwrap(), v);
         let d = DmSlot { set: 63, way: 15 };
-        assert_eq!(dm_slot_unpack(dm_slot_pack(d)), d);
+        assert_eq!(load::<DmSlot>(&save(&d)).unwrap(), d);
+    }
+
+    #[test]
+    fn packed_ref_out_of_range_is_an_error() {
+        let doc = Value::Arr(vec![Value::Int(256 << 16 | 7)]);
+        let err = load::<SlotRef>(&doc).unwrap_err();
+        assert!(err.message.contains("out of range"), "{err}");
+        assert!(load::<VmRef>(&doc).is_err());
     }
 
     #[test]
@@ -329,11 +340,7 @@ mod tests {
             },
         ];
         for m in msgs {
-            let mut e = Enc::new();
-            enc_trs_msg(&mut e, &m);
-            let v = e.done();
-            let mut d = Dec::new(&v, "t").unwrap();
-            assert_eq!(dec_trs_msg(&mut d).unwrap(), m);
+            assert_eq!(load::<TrsMsg>(&save(&m)).unwrap(), m);
         }
     }
 
@@ -346,7 +353,7 @@ mod tests {
         };
         s.dm_chain_hist[2] = 9;
         s.trs_wake_hist[7] = 1;
-        let back = Stats::load_state(&s.save_state()).unwrap();
+        let back: Stats = load(&save(&s)).unwrap();
         assert_eq!(back, s);
     }
 

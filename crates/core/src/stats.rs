@@ -72,10 +72,10 @@ pub struct Stats {
     /// Cycles DCT new-dependence queue heads spent blocked on a VM entry.
     pub dct_wait_vm: u64,
     /// DM version-chain depth per registration, bucketed by
-    /// [`DM_CHAIN_BOUNDS`] (+1 overflow bucket).
+    /// `DM_CHAIN_BOUNDS` (+1 overflow bucket).
     pub dm_chain_hist: [u64; DM_CHAIN_BOUNDS.len() + 1],
     /// TRS wake-to-ready latency per readied task, bucketed by
-    /// [`TRS_WAKE_BOUNDS`] (+1 overflow bucket).
+    /// `TRS_WAKE_BOUNDS` (+1 overflow bucket).
     pub trs_wake_hist: [u64; TRS_WAKE_BOUNDS.len() + 1],
 }
 

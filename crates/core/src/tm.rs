@@ -7,7 +7,9 @@
 //! prototype has 256 of them, bounding the in-flight tasks.
 
 use crate::msg::{SlotRef, VmRef};
-use picos_trace::TaskId;
+use crate::snap::{put_live, take_live};
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{snap_record, SnapError, TaskId, Value};
 
 /// One TMX dependence record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +51,20 @@ impl TmEntry {
         self.deps.iter_mut().find(|d| d.vm == vm && !d.resolved)
     }
 }
+
+snap_record!(TmDep {
+    dep_idx,
+    vm,
+    chained_prev,
+    resolved
+});
+snap_record!(TmEntry {
+    task,
+    num_deps,
+    ready_deps,
+    dispatched,
+    deps
+});
 
 /// The Task Memory of one TRS instance.
 #[derive(Debug, Clone)]
@@ -147,31 +163,16 @@ impl Tm {
     /// Serializes the dynamic state: the free stack (exact order — it is
     /// an allocation stack), the peak and every live entry. The recycled
     /// `spare_deps` capacity pool is behaviourally inert and excluded.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::{slot_pack, vm_pack};
-        use picos_trace::snap::Enc;
-        let live = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)));
+    pub fn save_state(&self) -> Value {
+        let Self {
+            entries,
+            free,
+            spare_deps: _,
+            peak_live,
+        } = self;
         let mut e = Enc::new();
-        e.usize(self.entries.len())
-            .u64s(self.free.iter().map(|&i| i as u64))
-            .usize(self.peak_live)
-            .seq(live, |e, (idx, ent)| {
-                e.usize(idx)
-                    .u32(ent.task.raw())
-                    .u64(ent.num_deps as u64)
-                    .u64(ent.ready_deps as u64)
-                    .bool(ent.dispatched)
-                    .seq(&ent.deps, |e, d| {
-                        e.u64(d.dep_idx as u64)
-                            .u64(vm_pack(d.vm))
-                            .opt_u64(d.chained_prev.map(slot_pack))
-                            .bool(d.resolved);
-                    });
-            });
+        e.put(&entries.len()).put(free).put(peak_live);
+        put_live(&mut e, entries);
         e.done()
     }
 
@@ -179,51 +180,13 @@ impl Tm {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// capacity mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::{slot_unpack, vm_unpack};
-        use picos_trace::snap::{guard, Dec};
-        use picos_trace::TaskId;
+    /// Returns [`SnapError`] on a malformed record or a capacity mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "tm")?;
-        guard("tm capacity", d.u64()?, self.entries.len() as u64)?;
-        let free = d.u64s()?;
-        let peak_live = d.usize()?;
-        let live = d.seq(|d| {
-            let idx = d.usize()?;
-            let task = TaskId::new(d.u32()?);
-            let num_deps = d.u64()? as u8;
-            let ready_deps = d.u64()? as u8;
-            let dispatched = d.bool()?;
-            let deps = d.seq(|d| {
-                Ok(TmDep {
-                    dep_idx: d.u64()? as u8,
-                    vm: vm_unpack(d.u64()?),
-                    chained_prev: d.opt_u64()?.map(slot_unpack),
-                    resolved: d.bool()?,
-                })
-            })?;
-            Ok((
-                idx,
-                TmEntry {
-                    task,
-                    num_deps,
-                    ready_deps,
-                    deps,
-                    dispatched,
-                },
-            ))
-        })?;
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.free = free.into_iter().map(|v| v as u16).collect();
-        self.peak_live = peak_live;
-        for (idx, ent) in live {
-            let slot = self
-                .entries
-                .get_mut(idx)
-                .ok_or_else(|| picos_trace::SnapError::new("tm: live index out of range"))?;
-            *slot = Some(ent);
-        }
+        d.guard("tm capacity", self.entries.len())?;
+        self.free = d.take()?;
+        self.peak_live = d.take()?;
+        take_live(&mut d, &mut self.entries, "tm")?;
         Ok(())
     }
 }

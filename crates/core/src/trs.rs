@@ -10,7 +10,8 @@ use crate::config::Timing;
 use crate::msg::{DepFinMsg, ResolveKind, SlotRef, TrsMsg, VmRef};
 use crate::tm::{Tm, TmDep};
 use crate::Cycle;
-use picos_trace::TaskId;
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{SnapError, TaskId, Value};
 
 /// Packets a TRS emits while handling one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,18 +95,22 @@ impl Trs {
 
     /// Serializes the dynamic state: the Task Memory, held early wakes and
     /// the instance counters.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::{slot_pack, vm_pack};
-        use picos_trace::snap::Enc;
+    pub fn save_state(&self) -> Value {
+        let Self {
+            id,
+            tm,
+            pending_wakes,
+            tasks_dispatched,
+            wakes_forwarded,
+            early_wakes,
+        } = self;
         let mut e = Enc::new();
-        e.u64(self.id as u64)
-            .val(self.tm.save_state())
-            .seq(&self.pending_wakes, |e, (slot, vm)| {
-                e.u64(slot_pack(*slot)).u64(vm_pack(*vm));
-            })
-            .u64(self.tasks_dispatched)
-            .u64(self.wakes_forwarded)
-            .u64(self.early_wakes);
+        e.put(id)
+            .val(tm.save_state())
+            .put(pending_wakes)
+            .put(tasks_dispatched)
+            .put(wakes_forwarded)
+            .put(early_wakes);
         e.done()
     }
 
@@ -113,18 +118,15 @@ impl Trs {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or an
-    /// instance mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::{slot_unpack, vm_unpack};
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or an instance mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "trs")?;
-        guard("trs id", d.u64()?, self.id as u64)?;
+        d.guard("trs id", self.id)?;
         self.tm.load_state(d.val()?)?;
-        self.pending_wakes = d.seq(|d| Ok((slot_unpack(d.u64()?), vm_unpack(d.u64()?))))?;
-        self.tasks_dispatched = d.u64()?;
-        self.wakes_forwarded = d.u64()?;
-        self.early_wakes = d.u64()?;
+        self.pending_wakes = d.take()?;
+        self.tasks_dispatched = d.take()?;
+        self.wakes_forwarded = d.take()?;
+        self.early_wakes = d.take()?;
         Ok(())
     }
 

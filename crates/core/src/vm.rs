@@ -10,6 +10,9 @@
 
 use crate::dm::DmSlot;
 use crate::msg::{SlotRef, VmRef};
+use crate::snap::{put_live, take_live};
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{snap_record, SnapError, Value};
 
 /// One live version of a dependence address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +43,16 @@ impl VmEntry {
         self.producer_finished && self.consumers_finished == self.consumers_total
     }
 }
+
+snap_record!(VmEntry {
+    producer,
+    producer_finished,
+    last_consumer,
+    consumers_total,
+    consumers_finished,
+    next,
+    dm_slot
+});
 
 /// The Version Memory of one DCT instance: a fixed-capacity slab.
 #[derive(Debug, Clone)]
@@ -134,29 +147,16 @@ impl Vm {
 impl Vm {
     /// Serializes the dynamic state: the free stack (exact order), the
     /// counters and every live version.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::{dm_slot_pack, slot_pack, vm_pack};
-        use picos_trace::snap::Enc;
-        let live = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)));
+    pub fn save_state(&self) -> Value {
+        let Self {
+            entries,
+            free,
+            stalls,
+            peak_live,
+        } = self;
         let mut e = Enc::new();
-        e.usize(self.entries.len())
-            .u64s(self.free.iter().map(|&i| i as u64))
-            .u64(self.stalls)
-            .usize(self.peak_live)
-            .seq(live, |e, (idx, ent)| {
-                e.usize(idx)
-                    .opt_u64(ent.producer.map(slot_pack))
-                    .bool(ent.producer_finished)
-                    .opt_u64(ent.last_consumer.map(slot_pack))
-                    .u32(ent.consumers_total)
-                    .u32(ent.consumers_finished)
-                    .opt_u64(ent.next.map(vm_pack))
-                    .u64(dm_slot_pack(ent.dm_slot));
-            });
+        e.put(&entries.len()).put(free).put(stalls).put(peak_live);
+        put_live(&mut e, entries);
         e.done()
     }
 
@@ -164,42 +164,14 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// capacity mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::{dm_slot_unpack, slot_unpack, vm_unpack};
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a capacity mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "vm")?;
-        guard("vm capacity", d.u64()?, self.entries.len() as u64)?;
-        let free = d.u64s()?;
-        let stalls = d.u64()?;
-        let peak_live = d.usize()?;
-        let live = d.seq(|d| {
-            let idx = d.usize()?;
-            Ok((
-                idx,
-                VmEntry {
-                    producer: d.opt_u64()?.map(slot_unpack),
-                    producer_finished: d.bool()?,
-                    last_consumer: d.opt_u64()?.map(slot_unpack),
-                    consumers_total: d.u32()?,
-                    consumers_finished: d.u32()?,
-                    next: d.opt_u64()?.map(vm_unpack),
-                    dm_slot: dm_slot_unpack(d.u64()?),
-                },
-            ))
-        })?;
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.free = free.into_iter().map(|v| v as u16).collect();
-        self.stalls = stalls;
-        self.peak_live = peak_live;
-        for (idx, ent) in live {
-            let slot = self
-                .entries
-                .get_mut(idx)
-                .ok_or_else(|| picos_trace::SnapError::new("vm: live index out of range"))?;
-            *slot = Some(ent);
-        }
+        d.guard("vm capacity", self.entries.len())?;
+        self.free = d.take()?;
+        self.stalls = d.take()?;
+        self.peak_live = d.take()?;
+        take_live(&mut d, &mut self.entries, "vm")?;
         Ok(())
     }
 }

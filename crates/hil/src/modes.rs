@@ -16,7 +16,7 @@
 //! a session.
 
 use crate::cost::HilCostModel;
-use crate::pool::{Bus, BusMsg, Workers};
+use crate::pool::{Bus, BusMsg, Link, Workers};
 use picos_core::{FinishedReq, PicosConfig, PicosSystem, SlotRef};
 use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
@@ -25,7 +25,7 @@ use picos_runtime::session::{
 };
 use picos_runtime::ExecReport;
 use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::{Dependence, TaskDescriptor, TaskId, Trace, Value};
+use picos_trace::{snap_record, Dependence, TaskDescriptor, TaskId, Trace, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -177,6 +177,8 @@ struct TaskMeta {
     dur: u64,
     deps: Arc<[Dependence]>,
 }
+
+snap_record!(TaskMeta { dur, deps });
 
 /// A resumable HIL platform stepper: the Picos core, the worker pool and —
 /// depending on the [`HilMode`] — the AXI bus and the serial ARM core,
@@ -648,45 +650,50 @@ impl HilSession {
     /// [`HilSession::load_state`] overwrites an identically configured
     /// session with it; [`Clone`] is the in-memory fork.
     pub fn save_state(&self) -> Value {
+        let Self {
+            mode,
+            cfg,
+            sys,
+            workers,
+            bus,
+            tasks,
+            next_feed,
+            finish_q,
+            newtasks_in_bus,
+            inflight_ready,
+            arm_free,
+            t,
+            faults: _,
+            fault_cursor,
+            restart_q,
+            recoveries,
+            ingest,
+            log,
+            sampler,
+            spans,
+        } = self;
         let mut e = Enc::new();
-        e.u64(mode_code(self.mode))
-            .u64(hil_fingerprint(&self.cfg))
-            .bool(self.sampler.is_some())
-            .bool(self.spans.is_some())
-            .val(self.sys.save_state())
-            .val(self.workers.save_state())
-            .val(match &self.bus {
-                Some(bus) => bus.save_state_with(enc_bus_msg),
-                None => Value::Null,
-            })
-            .seq(self.tasks.iter(), |e, m| {
-                e.u64(m.dur).seq(m.deps.iter(), |e, d| {
-                    e.u64(d.addr).u64(picos_runtime::snap::dir_code(d.dir));
-                });
-            })
-            .usize(self.next_feed)
-            .seq(self.finish_q.iter(), |e, &(task, slot)| {
-                e.u32(task).u64(slot_pack(slot));
-            })
-            .usize(self.newtasks_in_bus)
-            .usize(self.inflight_ready)
-            .u64(self.arm_free)
-            .u64(self.t)
-            .usize(self.fault_cursor)
-            .seq(self.restart_q.iter(), |e, &(task, slot, rerun)| {
-                e.u32(task).u64(slot_pack(slot)).bool(rerun);
-            })
-            .u64(self.recoveries)
-            .val(self.ingest.save_state())
-            .val(self.log.save_state())
-            .val(match &self.sampler {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            })
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            });
+        e.put(&mode_code(*mode))
+            .put(&hil_fingerprint(cfg))
+            .put(&sampler.is_some())
+            .put(&spans.is_some())
+            .val(sys.save_state())
+            .val(workers.save_state())
+            .val(bus.as_ref().map_or(Value::Null, Link::save_state))
+            .put(tasks)
+            .put(next_feed)
+            .put(finish_q)
+            .put(newtasks_in_bus)
+            .put(inflight_ready)
+            .put(arm_free)
+            .put(t)
+            .put(fault_cursor)
+            .put(restart_q)
+            .put(recoveries)
+            .val(ingest.save_state())
+            .nest(log)
+            .put(sampler)
+            .put(spans);
         e.done()
     }
 
@@ -698,78 +705,37 @@ impl HilSession {
     ///
     /// Returns [`SnapError`] on a malformed record or when the snapshot
     /// was taken under a different mode, platform configuration or
-    /// observation setup.
+    /// observation setup; the session must then be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
-        use picos_trace::snap::guard;
         let mut d = Dec::new(v, "hil session")?;
-        guard("hil mode", d.u64()?, mode_code(self.mode))?;
-        guard("hil config", d.u64()?, hil_fingerprint(&self.cfg))?;
-        guard(
-            "hil sampler attached",
-            d.bool()? as u64,
-            self.sampler.is_some() as u64,
-        )?;
-        guard(
-            "hil spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
-        )?;
-        let sys = d.val()?;
-        let workers = d.val()?;
-        let bus = d.val()?;
-        let tasks = d.seq(|d| {
-            let dur = d.u64()?;
-            let deps: Vec<Dependence> = d.seq(|d| {
-                Ok(Dependence::new(
-                    d.u64()?,
-                    picos_runtime::snap::dir_from(d.u64()?)?,
-                ))
-            })?;
-            Ok(TaskMeta {
-                dur,
-                deps: deps.into(),
-            })
-        })?;
-        let next_feed = d.usize()?;
-        let finish_q: Vec<(u32, SlotRef)> = d.seq(|d| Ok((d.u32()?, slot_unpack(d.u64()?))))?;
-        let newtasks_in_bus = d.usize()?;
-        let inflight_ready = d.usize()?;
-        let arm_free = d.u64()?;
-        let t = d.u64()?;
-        let fault_cursor = d.usize()?;
-        let restart_q: Vec<(u32, SlotRef, bool)> =
-            d.seq(|d| Ok((d.u32()?, slot_unpack(d.u64()?), d.bool()?)))?;
-        if fault_cursor > self.faults.len() {
-            return Err(SnapError::new("hil session: fault cursor out of range"));
-        }
-        let recoveries = d.u64()?;
-        self.sys.load_state(sys)?;
-        self.workers.load_state(workers)?;
-        match (&mut self.bus, bus) {
+        d.guard("hil mode", mode_code(self.mode))?;
+        d.guard("hil config", hil_fingerprint(&self.cfg))?;
+        d.guard("hil sampler attached", self.sampler.is_some())?;
+        d.guard("hil spans attached", self.spans.is_some())?;
+        self.sys.load_state(d.val()?)?;
+        self.workers.load_state(d.val()?)?;
+        match (&mut self.bus, d.val()?) {
             (None, Value::Null) => {}
-            (Some(link), v) => link.load_state_with(v, dec_bus_msg)?,
+            (Some(link), v) => link.load_state(v)?,
             (None, _) => return Err(SnapError::new("hil session: unexpected bus state")),
         }
+        self.tasks = d.take()?;
+        self.next_feed = d.take()?;
+        self.finish_q = d.take()?;
+        self.newtasks_in_bus = d.take()?;
+        self.inflight_ready = d.take()?;
+        self.arm_free = d.take()?;
+        self.t = d.take()?;
+        self.fault_cursor = d.take()?;
+        if self.fault_cursor > self.faults.len() {
+            return Err(SnapError::new("hil session: fault cursor out of range"));
+        }
+        self.restart_q = d.take()?;
+        self.recoveries = d.take()?;
         self.ingest.load_state(d.val()?)?;
-        self.log.load_state(d.val()?)?;
-        self.sampler = match d.val()? {
-            Value::Null => None,
-            v => Some(WindowSampler::load_state(v)?),
-        };
-        self.spans = match d.val()? {
-            Value::Null => None,
-            v => Some(SpanLog::load_state(v)?),
-        };
-        self.tasks = tasks;
-        self.next_feed = next_feed;
-        self.finish_q = finish_q.into();
-        self.newtasks_in_bus = newtasks_in_bus;
-        self.inflight_ready = inflight_ready;
-        self.arm_free = arm_free;
-        self.t = t;
-        self.fault_cursor = fault_cursor;
-        self.restart_q = restart_q.into();
-        self.recoveries = recoveries;
+        self.log = d.nest()?;
+        self.sampler = d.take()?;
+        self.spans = d.take()?;
         Ok(())
     }
 }
@@ -780,40 +746,6 @@ fn mode_code(m: HilMode) -> u64 {
         HilMode::HwOnly => 0,
         HilMode::HwComm => 1,
         HilMode::FullSystem => 2,
-    }
-}
-
-/// Packs a TM slot reference into one integer (`trs << 16 | entry`).
-fn slot_pack(s: SlotRef) -> u64 {
-    (s.trs as u64) << 16 | s.entry as u64
-}
-
-fn slot_unpack(v: u64) -> SlotRef {
-    SlotRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-/// Encodes one bus message (variant code first).
-fn enc_bus_msg(e: &mut Enc, m: &BusMsg) {
-    match *m {
-        BusMsg::NewTask(i) => {
-            e.u64(0).u32(i);
-        }
-        BusMsg::Ready(task, slot) => {
-            e.u64(1).u32(task).u64(slot_pack(slot));
-        }
-        BusMsg::Finish(task, slot) => {
-            e.u64(2).u32(task).u64(slot_pack(slot));
-        }
-    }
-}
-
-/// Decodes one bus message written by [`enc_bus_msg`].
-fn dec_bus_msg(d: &mut Dec) -> Result<BusMsg, SnapError> {
-    match d.u64()? {
-        0 => Ok(BusMsg::NewTask(d.u32()?)),
-        1 => Ok(BusMsg::Ready(d.u32()?, slot_unpack(d.u64()?))),
-        2 => Ok(BusMsg::Finish(d.u32()?, slot_unpack(d.u64()?))),
-        other => Err(SnapError::new(format!("unknown bus message code {other}"))),
     }
 }
 

@@ -9,8 +9,8 @@
 
 use crate::cost::LinkModel;
 use picos_core::SlotRef;
-use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::Value;
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
+use picos_trace::{snap_record, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -96,19 +96,17 @@ impl Workers {
     }
 
     /// Serializes the pool (running tasks in ascending completion order,
-    /// plus the live capacity — fail-stop faults shrink it).
+    /// plus the live capacity — fail-stop faults shrink it). A running
+    /// task's TM slot is stored as its two fields, `trs` then `entry`.
     pub fn save_state(&self) -> Value {
-        let mut heap: Vec<(u64, u32, SlotRef)> = self.heap.iter().map(|r| r.0).collect();
-        heap.sort_unstable();
+        let Self { heap, idle, total } = self;
+        let mut running: Vec<(u64, u32, u8, u16)> = heap
+            .iter()
+            .map(|Reverse((end, task, slot))| (*end, *task, slot.trs, slot.entry))
+            .collect();
+        running.sort_unstable();
         let mut e = Enc::new();
-        e.usize(self.total)
-            .usize(self.idle)
-            .seq(heap, |e, (end, task, slot)| {
-                e.u64(end)
-                    .u32(task)
-                    .u64(slot.trs as u64)
-                    .u64(slot.entry as u64);
-            });
+        e.put(total).put(idle).put(&running);
         e.done()
     }
 
@@ -120,21 +118,16 @@ impl Workers {
     /// occupancy (`running != total - idle`).
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "workers")?;
-        let total = d.usize()?;
-        let idle = d.usize()?;
-        let heap = d.seq(|d| {
-            Ok((
-                d.u64()?,
-                d.u32()?,
-                SlotRef::new(d.u64()? as u8, d.u64()? as u16),
-            ))
-        })?;
-        if idle > total || heap.len() != total - idle {
+        self.total = d.take()?;
+        self.idle = d.take()?;
+        let running: Vec<(u64, u32, u8, u16)> = d.take()?;
+        if self.idle > self.total || running.len() != self.total - self.idle {
             return Err(SnapError::new("workers: occupancy mismatch"));
         }
-        self.total = total;
-        self.idle = idle;
-        self.heap = heap.into_iter().map(Reverse).collect();
+        self.heap = running
+            .into_iter()
+            .map(|(end, task, trs, entry)| Reverse((end, task, SlotRef::new(trs, entry))))
+            .collect();
         Ok(())
     }
 }
@@ -162,6 +155,8 @@ struct LinkEv<T> {
     msg: T,
 }
 
+snap_record!(LinkEv<T> { at, seq, msg });
+
 impl<T> PartialEq for LinkEv<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -176,6 +171,26 @@ impl<T> PartialOrd for LinkEv<T> {
 impl<T> Ord for LinkEv<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+/// A bus message: one variant code, then its fields.
+impl Snap for BusMsg {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            BusMsg::NewTask(i) => e.put(&0u8).put(i),
+            BusMsg::Ready(task, slot) => e.put(&1u8).put(task).put(slot),
+            BusMsg::Finish(task, slot) => e.put(&2u8).put(task).put(slot),
+        };
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        match d.u64()? {
+            0 => Ok(BusMsg::NewTask(d.take()?)),
+            1 => Ok(BusMsg::Ready(d.take()?, d.take()?)),
+            2 => Ok(BusMsg::Finish(d.take()?, d.take()?)),
+            other => Err(SnapError::new(format!("unknown bus message code {other}"))),
+        }
     }
 }
 
@@ -255,57 +270,50 @@ impl<T> Link<T> {
     pub fn in_flight(&self) -> usize {
         self.deliveries.len()
     }
+}
 
-    /// Serializes the link state (model as a restore guard, pending
-    /// deliveries in `(time, seq)` order), encoding each message with
-    /// `enc_msg`.
-    pub fn save_state_with(&self, enc_msg: impl Fn(&mut Enc, &T)) -> Value {
-        let mut evs: Vec<&LinkEv<T>> = self.deliveries.iter().map(|r| &r.0).collect();
+impl<T: Snap> Link<T> {
+    /// Serializes the link state: the model as a restore guard, then the
+    /// pending deliveries in `(time, seq)` order.
+    pub fn save_state(&self) -> Value {
+        let Self {
+            model,
+            free_at,
+            deliveries,
+            seq,
+        } = self;
+        let mut evs: Vec<&LinkEv<T>> = deliveries.iter().map(|r| &r.0).collect();
         evs.sort_unstable_by_key(|e| (e.at, e.seq));
         let mut e = Enc::new();
-        e.u64(self.model.occupancy)
-            .u64(self.model.latency)
-            .u64(self.model.setup)
-            .usize(self.model.width)
-            .u64(self.free_at)
-            .u64(self.seq)
-            .seq(evs, |e, ev| {
-                e.u64(ev.at).u64(ev.seq);
-                enc_msg(e, &ev.msg);
-            });
+        e.put(&model.occupancy)
+            .put(&model.latency)
+            .put(&model.setup)
+            .put(&model.width)
+            .put(free_at)
+            .put(seq)
+            .seq(evs);
         e.done()
     }
 
-    /// Overwrites the link from [`Link::save_state_with`] output, decoding
-    /// each message with `dec_msg`.
+    /// Overwrites the link from [`Link::save_state`] output.
     ///
     /// # Errors
     ///
     /// Returns [`SnapError`] on a malformed record or when the snapshot was
     /// taken under a different [`LinkModel`].
-    pub fn load_state_with(
-        &mut self,
-        v: &Value,
-        dec_msg: impl Fn(&mut Dec) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        use picos_trace::snap::guard;
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "link")?;
-        guard("link occupancy", d.u64()?, self.model.occupancy)?;
-        guard("link latency", d.u64()?, self.model.latency)?;
-        guard("link setup", d.u64()?, self.model.setup)?;
-        guard("link width", d.usize()? as u64, self.model.width as u64)?;
-        let free_at = d.u64()?;
-        let seq = d.u64()?;
-        let evs = d.seq(|d| {
-            Ok(LinkEv {
-                at: d.u64()?,
-                seq: d.u64()?,
-                msg: dec_msg(d)?,
-            })
-        })?;
-        self.free_at = free_at;
-        self.seq = seq;
-        self.deliveries = evs.into_iter().map(Reverse).collect();
+        d.guard("link occupancy", self.model.occupancy)?;
+        d.guard("link latency", self.model.latency)?;
+        d.guard("link setup", self.model.setup)?;
+        d.guard("link width", self.model.width)?;
+        self.free_at = d.take()?;
+        self.seq = d.take()?;
+        self.deliveries = d
+            .take::<Vec<LinkEv<T>>>()?
+            .into_iter()
+            .map(Reverse)
+            .collect();
         Ok(())
     }
 }

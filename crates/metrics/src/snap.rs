@@ -1,90 +1,87 @@
-//! Snapshot save/load for the telemetry types.
+//! Snapshot codecs for the telemetry types.
 //!
 //! Telemetry is part of a session's dynamic state: restore==continuous
 //! must hold for timelines and span logs too, so a mid-run snapshot
 //! carries every sample emitted so far *and* the sampler's cursor (next
-//! boundary, delta baselines). Encoding follows the positional
-//! [`Enc`]/[`Dec`] convention of `picos_trace::snap`.
+//! boundary, delta baselines). Each type has one [`Snap`] impl; sessions
+//! nest the sampler and the span log as one slot each.
 
 use crate::span::{SpanEvent, SpanKind, SpanLog};
 use crate::{SeriesKind, SeriesSpec, Timeline, WindowSampler};
-use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::Value;
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
+use picos_trace::{snap_code, snap_record};
 
-impl Timeline {
-    /// Serializes the full timeline (series specs and all samples).
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(self.window)
-            .seq(&self.series, |e, s| {
-                e.str(&s.name).bool(s.kind == SeriesKind::Delta);
-            })
-            .u64s(self.starts.iter().copied())
-            .u64s(self.ends.iter().copied())
-            .u64s(self.values.iter().copied());
-        e.done()
+/// A series kind is one bool: `true` for [`SeriesKind::Delta`].
+impl Snap for SeriesKind {
+    const SCALAR: bool = true;
+
+    fn put(&self, e: &mut Enc) {
+        e.put(&(*self == SeriesKind::Delta));
     }
 
-    /// Rebuilds a timeline serialized by [`Timeline::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(v: &Value) -> Result<Timeline, SnapError> {
-        let mut d = Dec::new(v, "timeline")?;
-        let window = d.u64()?;
-        let series = d.seq(|d| {
-            let name = d.str()?.to_string();
-            let delta = d.bool()?;
-            Ok(SeriesSpec {
-                name,
-                kind: if delta {
-                    SeriesKind::Delta
-                } else {
-                    SeriesKind::Gauge
-                },
-            })
-        })?;
-        let starts = d.u64s()?;
-        let ends = d.u64s()?;
-        let values = d.u64s()?;
-        if window == 0 {
-            return Err(SnapError::new("timeline: zero window"));
-        }
-        if starts.len() != ends.len() || values.len() != starts.len() * series.len() {
-            return Err(SnapError::new("timeline: sample table shape mismatch"));
-        }
-        Ok(Timeline {
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(if d.take()? {
+            SeriesKind::Delta
+        } else {
+            SeriesKind::Gauge
+        })
+    }
+}
+
+snap_record!(SeriesSpec { name, kind });
+
+/// The full timeline: window, series specs and every sample.
+impl Snap for Timeline {
+    fn put(&self, e: &mut Enc) {
+        let Self {
             window,
             series,
             starts,
             ends,
             values,
-        })
+        } = self;
+        e.put(window).put(series).put(starts).put(ends).put(values);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let tl = Timeline {
+            window: d.take()?,
+            series: d.take()?,
+            starts: d.take()?,
+            ends: d.take()?,
+            values: d.take()?,
+        };
+        if tl.window == 0 {
+            return Err(SnapError::new("timeline: zero window"));
+        }
+        if tl.starts.len() != tl.ends.len() || tl.values.len() != tl.starts.len() * tl.series.len()
+        {
+            return Err(SnapError::new("timeline: sample table shape mismatch"));
+        }
+        Ok(tl)
     }
 }
 
-impl WindowSampler {
-    /// Serializes the sampler mid-run: the samples emitted so far plus the
-    /// cursor state a continuation needs (next boundary, delta baselines).
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(self.next)
-            .val(self.timeline.save_state())
-            .u64s(self.last.iter().copied());
-        e.done()
+/// The sampler mid-run: the next boundary, the samples emitted so far
+/// (nested) and the delta baselines. The window and the scratch rows are
+/// derived on load.
+impl Snap for WindowSampler {
+    fn put(&self, e: &mut Enc) {
+        let Self {
+            window: _,
+            next,
+            timeline,
+            last,
+            scratch: _,
+            row: _,
+        } = self;
+        e.put(next).nest(timeline).put(last);
     }
 
-    /// Rebuilds a sampler serialized by [`WindowSampler::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(v: &Value) -> Result<WindowSampler, SnapError> {
-        let mut d = Dec::new(v, "sampler")?;
-        let next = d.u64()?;
-        let timeline = Timeline::load_state(d.val()?)?;
-        let last = d.u64s()?;
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let next = d.take()?;
+        let timeline: Timeline = d.nest()?;
+        let last: Vec<u64> = d.take()?;
         let n = timeline.series.len();
         if last.len() != n {
             return Err(SnapError::new("sampler: delta baseline shape mismatch"));
@@ -100,43 +97,38 @@ impl WindowSampler {
     }
 }
 
-impl SpanLog {
-    /// Serializes the drain cursor and the recorded events.
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.usize(self.drained).seq(self.events(), |e, ev| {
-            e.u64(ev.at)
-                .u64(ev.kind as u8 as u64)
-                .u64(ev.shard as u64)
-                .u32(ev.task)
-                .u32(ev.arg);
-        });
-        e.done()
+snap_code!(SpanKind {
+    Submitted = 0,
+    DepsRegistered = 1,
+    LastDepReleased = 2,
+    Ready = 3,
+    Dispatched = 4,
+    Started = 5,
+    Finished = 6,
+    MsgSend = 7,
+    MsgDeliver = 8,
+    MsgRetry = 9,
+    Fault = 10,
+});
+
+snap_record!(SpanEvent {
+    at,
+    kind,
+    shard,
+    task,
+    arg
+});
+
+/// The drain cursor and the recorded events.
+impl Snap for SpanLog {
+    fn put(&self, e: &mut Enc) {
+        let Self { events, drained } = self;
+        e.put(drained).put(events);
     }
 
-    /// Rebuilds a log serialized by [`SpanLog::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record, an unknown event kind
-    /// or a drain cursor past the last event.
-    pub fn load_state(v: &Value) -> Result<SpanLog, SnapError> {
-        let mut d = Dec::new(v, "spans")?;
-        let drained = d.usize()?;
-        let events = d.seq(|d| {
-            let at = d.u64()?;
-            let kind = span_kind(d.u64()?)?;
-            let shard = d.u16()?;
-            let task = d.u32()?;
-            let arg = d.u32()?;
-            Ok(SpanEvent {
-                at,
-                kind,
-                shard,
-                task,
-                arg,
-            })
-        })?;
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let drained = d.take()?;
+        let events: Vec<SpanEvent> = d.take()?;
         if drained > events.len() {
             return Err(SnapError::new("spans: drain cursor past the last event"));
         }
@@ -144,27 +136,20 @@ impl SpanLog {
     }
 }
 
-fn span_kind(code: u64) -> Result<SpanKind, SnapError> {
-    Ok(match code {
-        0 => SpanKind::Submitted,
-        1 => SpanKind::DepsRegistered,
-        2 => SpanKind::LastDepReleased,
-        3 => SpanKind::Ready,
-        4 => SpanKind::Dispatched,
-        5 => SpanKind::Started,
-        6 => SpanKind::Finished,
-        7 => SpanKind::MsgSend,
-        8 => SpanKind::MsgDeliver,
-        9 => SpanKind::MsgRetry,
-        10 => SpanKind::Fault,
-        other => return Err(SnapError::new(format!("spans: unknown kind {other}"))),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeriesSpec;
+    use picos_trace::Value;
+
+    fn save<T: Snap>(v: &T) -> Value {
+        let mut e = Enc::new();
+        e.put(v);
+        e.done()
+    }
+
+    fn load<T: Snap>(v: &Value) -> Result<T, SnapError> {
+        Dec::new(v, "test")?.take()
+    }
 
     #[test]
     fn sampler_roundtrip_continues_identically() {
@@ -175,7 +160,7 @@ mod tests {
             v[1] = 17;
         });
 
-        let mut b = WindowSampler::load_state(&a.save_state()).unwrap();
+        let mut b: WindowSampler = load(&save(&a)).unwrap();
         // Drive both through the same tail; the finished timelines must be
         // bit-equal (restore==continuous for telemetry).
         let drive = |s: &mut WindowSampler| {
@@ -204,7 +189,7 @@ mod tests {
         log.record(SpanKind::Submitted, 0, 1, 7, 0);
         log.drain_new(&mut Vec::new());
         log.record(SpanKind::MsgSend, 9, 2, u32::MAX, 3);
-        let mut back = SpanLog::load_state(&log.save_state()).unwrap();
+        let mut back: SpanLog = load(&save(&log)).unwrap();
         assert_eq!(log, back);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         log.drain_new(&mut a);
@@ -217,11 +202,11 @@ mod tests {
     fn timeline_shape_mismatch_rejected() {
         let mut tl = Timeline::new(5, vec![SeriesSpec::gauge("a")]);
         tl.push_sample(0, 5, &[1]);
-        let mut v = tl.save_state();
+        let mut v = save(&tl);
         // Corrupt the values column length.
         if let Value::Arr(items) = &mut v {
             items[4] = Value::Arr(vec![]);
         }
-        assert!(Timeline::load_state(&v).is_err());
+        assert!(load::<Timeline>(&v).is_err());
     }
 }

@@ -7,7 +7,8 @@
 //! the newly ready tasks. The software-runtime simulation charges cycle
 //! costs per operation performed here.
 
-use picos_trace::{TaskDescriptor, TaskId};
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{snap_record, SnapError, TaskDescriptor, TaskId, Value};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Default)]
@@ -15,6 +16,11 @@ struct AddrState {
     last_writer: Option<u32>,
     readers: Vec<u32>,
 }
+
+snap_record!(AddrState {
+    last_writer,
+    readers
+});
 
 /// Incremental software dependence tracker.
 #[derive(Debug, Clone, Default)]
@@ -135,23 +141,25 @@ impl SoftwareDeps {
     /// Serializes the tracker. The address map is emitted in ascending
     /// address order so the encoding is deterministic; reader lists keep
     /// their arrival order (it feeds successor discovery order).
-    pub fn save_state(&self) -> picos_trace::Value {
-        use picos_trace::snap::Enc;
-        let mut addrs: Vec<(&u64, &AddrState)> = self.addr.iter().collect();
-        addrs.sort_unstable_by_key(|(a, _)| **a);
+    pub fn save_state(&self) -> Value {
+        let Self {
+            addr,
+            succs,
+            pred_remaining,
+            finished,
+            submitted,
+            map_ops,
+            preds_scratch: _,
+        } = self;
+        let mut addrs: Vec<(u64, &AddrState)> = addr.iter().map(|(&a, st)| (a, st)).collect();
+        addrs.sort_unstable_by_key(|&(a, _)| a);
         let mut e = Enc::new();
-        e.seq(addrs, |e, (a, st)| {
-            e.u64(*a)
-                .opt_u64(st.last_writer.map(u64::from))
-                .u32s(st.readers.iter().copied());
-        })
-        .seq(self.succs.iter(), |e, s| {
-            e.u32s(s.iter().copied());
-        })
-        .u32s(self.pred_remaining.iter().copied())
-        .bools(self.finished.iter().copied())
-        .bools(self.submitted.iter().copied())
-        .u64(self.map_ops);
+        e.pairs(addrs)
+            .put(succs)
+            .put(pred_remaining)
+            .put(finished)
+            .put(submitted)
+            .put(map_ops);
         e.done()
     }
 
@@ -159,36 +167,21 @@ impl SoftwareDeps {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use picos_trace::snap::Dec;
+    /// Returns [`SnapError`] on a malformed record.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "software deps")?;
-        let addrs = d.seq(|d| {
-            Ok((
-                d.u64()?,
-                AddrState {
-                    last_writer: d.opt_u64()?.map(|w| w as u32),
-                    readers: d.u32s()?,
-                },
-            ))
-        })?;
-        let succs = d.seq(|d| d.u32s())?;
-        let pred_remaining = d.u32s()?;
-        let finished = d.bools()?;
-        let submitted = d.bools()?;
-        let map_ops = d.u64()?;
-        let n = succs.len();
-        if pred_remaining.len() != n || finished.len() != n || submitted.len() != n {
-            return Err(picos_trace::SnapError::new(
+        self.addr = d.take::<Vec<(u64, AddrState)>>()?.into_iter().collect();
+        self.succs = d.take()?;
+        self.pred_remaining = d.take()?;
+        self.finished = d.take()?;
+        self.submitted = d.take()?;
+        self.map_ops = d.take()?;
+        let n = self.succs.len();
+        if self.pred_remaining.len() != n || self.finished.len() != n || self.submitted.len() != n {
+            return Err(SnapError::new(
                 "software deps: per-task table length mismatch",
             ));
         }
-        self.addr = addrs.into_iter().collect();
-        self.succs = succs;
-        self.pred_remaining = pred_remaining;
-        self.finished = finished;
-        self.submitted = submitted;
-        self.map_ops = map_ops;
         Ok(())
     }
 }

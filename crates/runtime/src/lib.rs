@@ -40,7 +40,6 @@ mod perfect;
 mod report;
 pub mod session;
 mod simrt;
-pub mod snap;
 
 pub use cost::NanosCostModel;
 pub use depmap::SoftwareDeps;

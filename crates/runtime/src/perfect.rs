@@ -12,7 +12,8 @@ use crate::depmap::SoftwareDeps;
 use crate::report::ExecReport;
 use crate::session::{feed_trace, Admission, Ingest, ScheduleLog, SessionConfig, SessionCore};
 use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
-use picos_trace::{TaskDescriptor, TaskId, Trace};
+use picos_trace::snap::{Dec, Enc};
+use picos_trace::{SnapError, TaskDescriptor, TaskId, Trace, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -151,34 +152,40 @@ impl PerfectSession {
     /// Serializes the full dynamic state. Restore by opening a session
     /// with the same configuration and calling
     /// [`PerfectSession::load_state`].
-    pub fn save_state(&self) -> picos_trace::Value {
-        use picos_trace::snap::Enc;
-        let mut ready: Vec<u32> = self.ready.iter().map(|r| r.0).collect();
+    pub fn save_state(&self) -> Value {
+        let Self {
+            workers,
+            idle,
+            now,
+            deps,
+            pending,
+            ready,
+            running,
+            durs,
+            ingest,
+            log,
+            timeline_window,
+            spans,
+            newly: _,
+        } = self;
+        let mut ready: Vec<u32> = ready.iter().map(|r| r.0).collect();
         ready.sort_unstable();
-        let mut running: Vec<(u64, u32)> = self.running.iter().map(|r| r.0).collect();
+        let mut running: Vec<(u64, u32)> = running.iter().map(|r| r.0).collect();
         running.sort_unstable();
         let mut e = Enc::new();
-        e.usize(self.workers)
-            .opt_u64(self.timeline_window)
-            .bool(self.spans.is_some())
-            .usize(self.idle)
-            .u64(self.now)
-            .val(self.deps.save_state())
-            .seq(self.pending.iter(), |e, (id, t)| {
-                e.u32(*id);
-                crate::snap::enc_task(e, t);
-            })
-            .u32s(ready)
-            .seq(running, |e, (end, id)| {
-                e.u64(end).u32(id);
-            })
-            .u64s(self.durs.iter().copied())
-            .val(self.ingest.save_state())
-            .val(self.log.save_state())
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => picos_trace::Value::Null,
-            });
+        e.put(workers)
+            .put(timeline_window)
+            .put(&spans.is_some())
+            .put(idle)
+            .put(now)
+            .val(deps.save_state())
+            .put(pending)
+            .put(&ready)
+            .put(&running)
+            .put(durs)
+            .val(ingest.save_state())
+            .nest(log)
+            .put(spans);
         e.done()
     }
 
@@ -187,47 +194,28 @@ impl PerfectSession {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// configuration mismatch (worker count, telemetry attachments,
-    /// in-flight window).
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a configuration
+    /// mismatch (worker count, telemetry attachments, in-flight window);
+    /// the session must then be discarded.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "perfect session")?;
-        guard("perfect workers", d.usize()? as u64, self.workers as u64)?;
-        let window = d.opt_u64()?;
-        if window != self.timeline_window {
-            return Err(picos_trace::SnapError::new(
-                "perfect session: timeline window mismatch",
-            ));
-        }
-        guard(
-            "perfect spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
-        )?;
-        let idle = d.usize()?;
-        let now = d.u64()?;
-        let deps = d.val()?;
-        let pending = d.seq(|d| Ok((d.u32()?, crate::snap::dec_task(d)?)))?;
-        let ready = d.u32s()?;
-        let running = d.seq(|d| Ok((d.u64()?, d.u32()?)))?;
-        let durs = d.u64s()?;
-        let ingest = d.val()?;
-        let log = d.val()?;
-        let spans = d.val()?;
-        self.deps.load_state(deps)?;
-        self.ingest.load_state(ingest)?;
-        self.log.load_state(log)?;
-        self.spans = match spans {
-            picos_trace::Value::Null => None,
-            v => Some(picos_metrics::span::SpanLog::load_state(v)?),
-        };
-        self.idle = idle;
-        self.now = now;
-        self.pending = pending.into();
-        self.ready = ready.into_iter().map(Reverse).collect();
-        self.running = running.into_iter().map(Reverse).collect();
-        self.durs = durs;
+        d.guard("perfect workers", self.workers)?;
+        d.guard("perfect timeline window", self.timeline_window)?;
+        d.guard("perfect spans attached", self.spans.is_some())?;
+        self.idle = d.take()?;
+        self.now = d.take()?;
+        self.deps.load_state(d.val()?)?;
+        self.pending = d.take()?;
+        self.ready = d.take::<Vec<u32>>()?.into_iter().map(Reverse).collect();
+        self.running = d
+            .take::<Vec<(u64, u32)>>()?
+            .into_iter()
+            .map(Reverse)
+            .collect();
+        self.durs = d.take()?;
+        self.ingest.load_state(d.val()?)?;
+        self.log = d.nest()?;
+        self.spans = d.take()?;
         Ok(())
     }
 

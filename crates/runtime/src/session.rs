@@ -27,7 +27,7 @@
 
 use crate::report::ExecReport;
 use picos_metrics::span::SpanEvent;
-use picos_trace::snap::{Dec, Enc};
+use picos_trace::snap::{Dec, Enc, Snap};
 use picos_trace::{SnapError, TaskDescriptor, Trace, Value};
 use std::fmt;
 use std::ops::Range;
@@ -448,12 +448,19 @@ impl Ingest {
 
     /// Serializes the ingest state (window included, as a restore guard).
     pub fn save_state(&self) -> Value {
+        let Self {
+            gates,
+            cur_gate,
+            admitted,
+            finished,
+            window,
+        } = self;
         let mut e = Enc::new();
-        e.opt_u64(self.window.map(|w| w as u64))
-            .u32s(self.gates.iter().copied())
-            .u32(self.cur_gate)
-            .usize(self.admitted)
-            .usize(self.finished);
+        e.put(window)
+            .put(gates)
+            .put(cur_gate)
+            .put(admitted)
+            .put(finished);
         e.done()
     }
 
@@ -465,17 +472,11 @@ impl Ingest {
     /// was taken under a different in-flight window.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "ingest")?;
-        let window = d.opt_u64()?.map(|w| w as usize);
-        if window != self.window {
-            return Err(SnapError::new(format!(
-                "ingest: window mismatch (snapshot {window:?}, session {:?})",
-                self.window
-            )));
-        }
-        self.gates = d.u32s()?;
-        self.cur_gate = d.u32()?;
-        self.admitted = d.usize()?;
-        self.finished = d.usize()?;
+        d.guard("ingest window", self.window)?;
+        self.gates = d.take()?;
+        self.cur_gate = d.take()?;
+        self.admitted = d.take()?;
+        self.finished = d.take()?;
         Ok(())
     }
 }
@@ -530,36 +531,6 @@ impl ScheduleLog {
         at + dur
     }
 
-    /// Serializes the schedule log.
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64s(self.start.iter().copied())
-            .u64s(self.end.iter().copied())
-            .u32s(self.order.iter().copied())
-            .u64(self.sequential);
-        e.done()
-    }
-
-    /// Overwrites the schedule log from [`ScheduleLog::save_state`]
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
-        let mut d = Dec::new(v, "schedule log")?;
-        let start = d.u64s()?;
-        let end = d.u64s()?;
-        if start.len() != end.len() {
-            return Err(SnapError::new("schedule log: start/end length mismatch"));
-        }
-        self.start = start;
-        self.end = end;
-        self.order = d.u32s()?;
-        self.sequential = d.u64()?;
-        Ok(())
-    }
-
     /// Finalizes the log into an [`ExecReport`] under an engine label.
     pub fn into_report(self, engine: &str, workers: usize) -> ExecReport {
         ExecReport {
@@ -571,6 +542,33 @@ impl ScheduleLog {
             start: self.start,
             end: self.end,
         }
+    }
+}
+
+/// The per-task start and end columns, the execution order and the
+/// sequential baseline.
+impl Snap for ScheduleLog {
+    fn put(&self, e: &mut Enc) {
+        let Self {
+            start,
+            end,
+            order,
+            sequential,
+        } = self;
+        e.put(start).put(end).put(order).put(sequential);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let log = ScheduleLog {
+            start: d.take()?,
+            end: d.take()?,
+            order: d.take()?,
+            sequential: d.take()?,
+        };
+        if log.start.len() != log.end.len() {
+            return Err(SnapError::new("schedule log: start/end length mismatch"));
+        }
+        Ok(log)
     }
 }
 

@@ -24,7 +24,8 @@ use crate::depmap::SoftwareDeps;
 use crate::report::ExecReport;
 use crate::session::{feed_trace, Admission, Ingest, ScheduleLog, SessionConfig, SessionCore};
 use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
-use picos_trace::{TaskDescriptor, TaskId, Trace};
+use picos_trace::snap::{guard, Dec, Enc, Snap};
+use picos_trace::{snap_code, SnapError, TaskDescriptor, TaskId, Trace, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -138,22 +139,58 @@ fn cfg_fingerprint(cfg: &SwRuntimeConfig) -> u64 {
     .fold(0xcbf2_9ce4_8422_2325, mix)
 }
 
-fn ev_code(ev: Ev) -> (u64, u64, u64) {
-    match ev {
-        Ev::MasterDone(i) => (0, i as u64, 0),
-        Ev::TryDequeue(w) => (1, w as u64, 0),
-        Ev::TaskDone(w, t) => (2, w as u64, t as u64),
+/// An event is three slots: a variant code and two operands (the second
+/// is 0 unless the variant has one).
+impl Snap for Ev {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            Ev::MasterDone(i) => e.put(&0u8).put(&i).put(&0u8),
+            Ev::TryDequeue(w) => e.put(&1u8).put(&w).put(&0u8),
+            Ev::TaskDone(w, t) => e.put(&2u8).put(&w).put(&t),
+        };
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let ev = match d.u64()? {
+            0 => Ev::MasterDone(d.take()?),
+            1 => Ev::TryDequeue(d.take()?),
+            2 => return Ok(Ev::TaskDone(d.take()?, d.take()?)),
+            other => {
+                return Err(SnapError::new(format!(
+                    "unknown software event code {other}"
+                )))
+            }
+        };
+        d.u64()?;
+        Ok(ev)
     }
 }
 
-fn ev_from(code: u64, a: u64, b: u64) -> Result<Ev, picos_trace::SnapError> {
-    match code {
-        0 => Ok(Ev::MasterDone(a as u32)),
-        1 => Ok(Ev::TryDequeue(a as usize)),
-        2 => Ok(Ev::TaskDone(a as usize, b as u32)),
-        other => Err(picos_trace::SnapError::new(format!(
-            "unknown software event code {other}"
-        ))),
+snap_code!(WorkerState {
+    Parked = 0,
+    Scheduled = 1,
+    Running = 2,
+});
+
+/// The master is two slots: a state code and the parked gate (0 unless
+/// parked).
+impl Snap for Master {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            Master::Busy => e.put(&0u8).put(&0u32),
+            Master::Starved => e.put(&1u8).put(&0u32),
+            Master::Parked(g) => e.put(&2u8).put(&g),
+        };
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let (code, gate) = (d.u64()?, d.take()?);
+        match code {
+            0 => Ok(Master::Busy),
+            1 => Ok(Master::Starved),
+            2 => Ok(Master::Parked(gate)),
+            other => Err(SnapError::new(format!("unknown master state code {other}"))),
+        }
     }
 }
 
@@ -392,41 +429,52 @@ impl SoftwareSession {
     /// Serializes the full dynamic state. Restore by opening a session
     /// with the same configuration and calling
     /// [`SoftwareSession::load_state`].
-    pub fn save_state(&self) -> picos_trace::Value {
-        use picos_trace::snap::Enc;
-        let mut heap: Vec<(u64, u64, Ev)> = self.heap.iter().map(|r| r.0).collect();
+    pub fn save_state(&self) -> Value {
+        let Self {
+            cfg,
+            deps,
+            heap,
+            seq,
+            ready_q,
+            state,
+            lock_free,
+            tasks,
+            arrivals,
+            created,
+            master,
+            master_free,
+            master_done,
+            closed,
+            now,
+            ingest,
+            log,
+            timeline_window,
+            spans,
+            newly: _,
+        } = self;
+        let mut heap: Vec<(u64, u64, Ev)> = heap.iter().map(|r| r.0).collect();
         heap.sort_unstable();
         let mut e = Enc::new();
-        e.u64(cfg_fingerprint(&self.cfg))
-            .opt_u64(self.timeline_window)
-            .bool(self.spans.is_some())
-            .val(self.deps.save_state())
-            .seq(heap, |e, (t, seq, ev)| {
-                let (code, a, b) = ev_code(ev);
-                e.u64(t).u64(seq).u64(code).u64(a).u64(b);
-            })
-            .u64(self.seq)
-            .u32s(self.ready_q.iter().copied())
-            .u64s(self.state.iter().map(|s| *s as u64))
-            .u64(self.lock_free)
-            .seq(self.tasks.iter(), crate::snap::enc_task)
-            .u64s(self.arrivals.iter().copied())
-            .usize(self.created);
-        match self.master {
-            Master::Busy => e.u64(0).u32(0),
-            Master::Starved => e.u64(1).u32(0),
-            Master::Parked(g) => e.u64(2).u32(g),
-        };
-        e.u64(self.master_free)
-            .bool(self.master_done)
-            .bool(self.closed)
-            .u64(self.now)
-            .val(self.ingest.save_state())
-            .val(self.log.save_state())
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => picos_trace::Value::Null,
-            });
+        e.put(&cfg_fingerprint(cfg))
+            .put(timeline_window)
+            .put(&spans.is_some())
+            .val(deps.save_state())
+            .put(&heap)
+            .put(seq)
+            .put(ready_q)
+            .put(state)
+            .put(lock_free)
+            .put(tasks)
+            .put(arrivals)
+            .put(created)
+            .put(master)
+            .put(master_free)
+            .put(master_done)
+            .put(closed)
+            .put(now)
+            .val(ingest.save_state())
+            .nest(log)
+            .put(spans);
         e.done()
     }
 
@@ -435,87 +483,32 @@ impl SoftwareSession {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// configuration mismatch (worker count, cost model, telemetry
-    /// attachments, in-flight window).
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a configuration
+    /// mismatch (worker count, cost model, telemetry attachments,
+    /// in-flight window); the session must then be discarded.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "software session")?;
-        guard("nanos config", d.u64()?, cfg_fingerprint(&self.cfg))?;
-        let window = d.opt_u64()?;
-        if window != self.timeline_window {
-            return Err(picos_trace::SnapError::new(
-                "software session: timeline window mismatch",
-            ));
-        }
-        guard(
-            "nanos spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
-        )?;
-        let deps = d.val()?;
-        let heap = d.seq(|d| {
-            let (t, seq) = (d.u64()?, d.u64()?);
-            let (code, a, b) = (d.u64()?, d.u64()?, d.u64()?);
-            Ok((t, seq, ev_from(code, a, b)?))
-        })?;
-        let seq = d.u64()?;
-        let ready_q = d.u32s()?;
-        let state = d
-            .u64s()?
-            .into_iter()
-            .map(|c| match c {
-                0 => Ok(WorkerState::Parked),
-                1 => Ok(WorkerState::Scheduled),
-                2 => Ok(WorkerState::Running),
-                other => Err(picos_trace::SnapError::new(format!(
-                    "unknown worker state code {other}"
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if state.len() != self.cfg.workers {
-            return Err(picos_trace::SnapError::new(
-                "software session: worker table length mismatch",
-            ));
-        }
-        let lock_free = d.u64()?;
-        let tasks = d.seq(crate::snap::dec_task)?;
-        let arrivals = d.u64s()?;
-        let created = d.usize()?;
-        let master = match (d.u64()?, d.u32()?) {
-            (0, _) => Master::Busy,
-            (1, _) => Master::Starved,
-            (2, g) => Master::Parked(g),
-            (other, _) => {
-                return Err(picos_trace::SnapError::new(format!(
-                    "unknown master state code {other}"
-                )))
-            }
-        };
-        let master_free = d.u64()?;
-        let master_done = d.bool()?;
-        let closed = d.bool()?;
-        let now = d.u64()?;
-        self.deps.load_state(deps)?;
+        d.guard("nanos config", cfg_fingerprint(&self.cfg))?;
+        d.guard("nanos timeline window", self.timeline_window)?;
+        d.guard("nanos spans attached", self.spans.is_some())?;
+        self.deps.load_state(d.val()?)?;
+        self.heap = d.take::<Vec<_>>()?.into_iter().map(Reverse).collect();
+        self.seq = d.take()?;
+        self.ready_q = d.take()?;
+        self.state = d.take()?;
+        guard("nanos worker table", self.state.len(), self.cfg.workers)?;
+        self.lock_free = d.take()?;
+        self.tasks = d.take()?;
+        self.arrivals = d.take()?;
+        self.created = d.take()?;
+        self.master = d.take()?;
+        self.master_free = d.take()?;
+        self.master_done = d.take()?;
+        self.closed = d.take()?;
+        self.now = d.take()?;
         self.ingest.load_state(d.val()?)?;
-        self.log.load_state(d.val()?)?;
-        self.spans = match d.val()? {
-            picos_trace::Value::Null => None,
-            v => Some(SpanLog::load_state(v)?),
-        };
-        self.heap = heap.into_iter().map(Reverse).collect();
-        self.seq = seq;
-        self.ready_q = ready_q.into();
-        self.state = state;
-        self.lock_free = lock_free;
-        self.tasks = tasks;
-        self.arrivals = arrivals;
-        self.created = created;
-        self.master = master;
-        self.master_free = master_free;
-        self.master_done = master_done;
-        self.closed = closed;
-        self.now = now;
+        self.log = d.nest()?;
+        self.spans = d.take()?;
         Ok(())
     }
 

@@ -6,7 +6,8 @@
 
 use picos_backend::BackendSpec;
 use picos_serve::{Request, ServeConfig, ServeHandle, Service, SubmitOutcome, TenantSpec};
-use picos_trace::{gen, SessionJournal, Trace};
+use picos_trace::snap::value_to_json;
+use picos_trace::{gen, parse_json, SessionJournal, Trace, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -306,5 +307,83 @@ fn wire_checkpoint_command_round_trips() {
     assert!(
         resp.starts_with("{\"ok\":false,") && resp.contains("journal directory"),
         "{resp}"
+    );
+}
+
+/// Rewrites `placement[0]` of a cluster snapshot state to a value no
+/// `u16` shard index can hold. The cluster session record opens with the
+/// config fingerprint, three attachment flags, the shard cores, worker
+/// pools and links, then `expected`, `arrived`, `slot_at` and `exec_q`;
+/// `placement` is slot 11.
+fn corrupt_placement(state: &mut Value) {
+    let Value::Arr(fields) = state else {
+        panic!("cluster state is a record array");
+    };
+    let Value::Arr(placement) = &mut fields[11] else {
+        panic!("placement is an array");
+    };
+    placement[0] = Value::Int(65537);
+}
+
+/// A checkpoint whose snapshot holds an out-of-range value is a typed
+/// recovery error isolated to its tenant: the corrupted tenant does not
+/// half-open, and every other tenant recovers bit-exactly.
+#[test]
+fn corrupted_checkpoint_is_an_isolated_recovery_error() {
+    let dir = scratch("corrupt");
+    let cfg = ServeConfig {
+        default_quota: 6,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let mut durable = Service::new(cfg.clone()).unwrap();
+    let mut continuous = Service::new(ServeConfig {
+        journal_dir: None,
+        ..cfg.clone()
+    })
+    .unwrap();
+    let names = ["c".to_string(), "p".to_string()];
+    for (name, spec) in names
+        .iter()
+        .zip([BackendSpec::Cluster(2), BackendSpec::Perfect])
+    {
+        let spec = TenantSpec::new(spec, 4);
+        durable.open(name, &spec).unwrap();
+        continuous.open(name, &spec).unwrap();
+    }
+    let trace = gen::stream(gen::StreamConfig::heavy(40));
+    let cut = trace.len() / 2;
+    feed(&mut durable, &names, &trace, 0..cut);
+    feed(&mut continuous, &names, &trace, 0..cut);
+    assert_eq!(durable.checkpoint_all().unwrap(), names.len());
+    feed(&mut durable, &names, &trace, cut..trace.len());
+    feed(&mut continuous, &names, &trace, cut..trace.len());
+    durable.flush_journals().unwrap();
+    drop(durable);
+
+    let path = dir.join("c.checkpoint.json");
+    let mut doc = parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Value::Obj(fields) = &mut doc else {
+        panic!("checkpoint is an object");
+    };
+    corrupt_placement(fields.get_mut("state").unwrap());
+    std::fs::write(&path, value_to_json(&doc)).unwrap();
+
+    let mut recovered = Service::new(cfg).unwrap();
+    assert_eq!(recovered.recovery_errors().len(), 1);
+    let (name, reason) = &recovered.recovery_errors()[0];
+    assert_eq!(name, "c");
+    assert!(
+        reason.contains("out of range"),
+        "unexpected reason: {reason}"
+    );
+    assert!(
+        !recovered.contains("c"),
+        "a tenant whose checkpoint fails to restore must not half-open"
+    );
+    assert_eq!(
+        recovered.close("p").unwrap(),
+        continuous.close("p").unwrap(),
+        "the healthy tenant recovers bit-exactly"
     );
 }

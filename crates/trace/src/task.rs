@@ -4,6 +4,7 @@
 //! task-creation time (paper, Section III): a task identifier, the number of
 //! dependences, and for each dependence its memory address and direction.
 
+use crate::snap::{Dec, Enc, Snap, SnapError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -231,6 +232,45 @@ impl TaskDescriptor {
     }
 }
 
+// ---------------------------------------------------------------- snapshots
+
+impl Snap for TaskId {
+    const SCALAR: bool = true;
+
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.put(&self.0);
+    }
+
+    #[inline]
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        d.take().map(TaskId)
+    }
+}
+
+impl Snap for KernelClass {
+    const SCALAR: bool = true;
+
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.put(&self.0);
+    }
+
+    #[inline]
+    fn take(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        d.take().map(KernelClass)
+    }
+}
+
+crate::snap_code!(Direction { In = 0, Out = 1, InOut = 2 });
+crate::snap_record!(Dependence { addr, dir });
+crate::snap_record!(TaskDescriptor {
+    id,
+    kernel,
+    duration,
+    deps
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,5 +346,31 @@ mod tests {
     #[test]
     fn dependence_display() {
         assert_eq!(Dependence::inout(0xff).to_string(), "inout(0xff)");
+    }
+
+    #[test]
+    fn task_roundtrip() {
+        let t = TaskDescriptor::new(
+            TaskId::new(7),
+            KernelClass(3),
+            [Dependence::input(0x1000), Dependence::inout(u64::MAX - 63)],
+            12_345,
+        );
+        let mut e = Enc::new();
+        e.put(&t);
+        let v = e.done();
+        assert_eq!(
+            Dec::new(&v, "task")
+                .unwrap()
+                .take::<TaskDescriptor>()
+                .unwrap(),
+            t
+        );
+    }
+
+    #[test]
+    fn bad_direction_rejected() {
+        let v = crate::Value::Arr(vec![crate::Value::Int(3)]);
+        assert!(Dec::new(&v, "dir").unwrap().take::<Direction>().is_err());
     }
 }
