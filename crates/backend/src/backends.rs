@@ -398,17 +398,6 @@ impl BackendSpec {
     pub fn build(self, workers: usize, picos: &PicosConfig) -> Box<dyn ExecBackend> {
         self.builder(workers).picos(picos).build()
     }
-
-    /// Like [`BackendSpec::build`], with an explicit interconnect cost
-    /// model for the cluster family (the other families ignore it).
-    pub fn build_with_link(
-        self,
-        workers: usize,
-        picos: &PicosConfig,
-        link: LinkModel,
-    ) -> Box<dyn ExecBackend> {
-        self.builder(workers).picos(picos).link(Some(link)).build()
-    }
 }
 
 impl fmt::Display for BackendSpec {

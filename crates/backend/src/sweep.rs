@@ -198,11 +198,6 @@ impl SweepResult {
         &self.rows
     }
 
-    /// Rows that completed successfully.
-    pub fn ok_rows(&self) -> impl Iterator<Item = &SweepRow> {
-        self.rows.iter().filter(|r| r.error.is_none())
-    }
-
     /// First error among the cells, if any.
     pub fn first_error(&self) -> Option<&str> {
         self.rows.iter().find_map(|r| r.error.as_deref())

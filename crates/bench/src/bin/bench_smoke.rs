@@ -1,39 +1,32 @@
-//! Bench smoke: quick engine + sweep throughput check for CI.
+//! Bench smoke: the six layer-overhead gates CI checks on every change.
 //!
-//! Runs the `engine_throughput` workload (bare engine, instant workers),
-//! the batch backend path (now session-driven), the paced streaming
-//! driver at saturation, the `sweep_throughput` grid, and a
-//! cluster-backend grid, the serial-vs-parallel cluster engine A/B, and
-//! the multi-tenant serve-layer A/B (256 multiplexed stream tenants vs
-//! the same sessions solo)
-//! in a short fixed sampling window and emits `BENCH_engine.json` with
-//! tasks/sec and cells/sec, alongside the pinned pre-rewrite baseline,
-//! so the perf trajectory of the event core — and of the session API
-//! from its first day — is tracked across PRs.
+//! Each gate runs two configurations of one workload in the same process
+//! and fails when the costlier side falls below a fixed fraction of its
+//! reference (the `gates` table at the end of `main`), so the ratio holds
+//! across machines where absolute throughput does not:
 //!
-//! CI guard: the batch `ExecBackend::run` path is a default method over a
-//! streaming session since the SimSession redesign; this binary exits
-//! non-zero if that path falls below a quarter of the raw engine's
-//! throughput in the same process (the drivers add worker simulation on
-//! top of the same core, so the ratio is stable across machines —
-//! measured ~0.75 on the reference machine).
+//! - (a) the batch `ExecBackend::run` path vs the raw engine;
+//! - (b) a coarse-window telemetry timeline attached vs not;
+//! - (c) the span recorder attached vs not;
+//! - (d) the parallel 4-shard cluster engine vs the serial one;
+//! - (e) a zero-fault `FaultPlan` attached vs no plan;
+//! - (f) 256 tenants multiplexed behind one `Service` vs the same sessions
+//!   run solo.
+//!
+//! It also times the snapshot save/restore round trip, which no other
+//! harness measures. Per-layer costs with their spread come from the
+//! `perfbench` ladder, not from here.
+//!
+//! Prints `BENCH_engine.json` (and writes it to the working directory),
+//! then exits non-zero if any gate tripped.
 //!
 //! Knob: `BENCH_SMOKE_MS` — per-measurement sampling window (default 300).
 
-use picos_backend::{
-    feed_trace, pace, BackendSpec, FaultPlan, SessionConfig, Snapshot, Sweep, Workload,
-};
+use picos_backend::{feed_trace, BackendSpec, ExecBackend, FaultPlan, SessionConfig, Snapshot};
 use picos_core::{FinishedReq, PicosConfig, PicosSystem};
-use picos_hil::HilMode;
 use picos_serve::{ServeConfig, Service, SubmitOutcome, TenantSpec};
-use picos_trace::gen::{self, App};
-use std::sync::Arc;
+use picos_trace::gen;
 use std::time::{Duration, Instant};
-
-/// Pre-rewrite `engine/sparselu128/instant-workers` throughput (tasks/sec),
-/// measured on the reference machine with the `BinaryHeap` +
-/// `schedule_all` engine immediately before the timing-wheel rewrite.
-const BASELINE_TASKS_PER_SEC: f64 = 311_189.0;
 
 fn window_ms() -> u64 {
     std::env::var("BENCH_SMOKE_MS")
@@ -56,16 +49,37 @@ fn sample(window: Duration, mut f: impl FnMut()) -> f64 {
     iters as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Interleaved A/B: runs every side once per round, in the given order,
+/// until the window has passed (at least one round), and returns each
+/// side's iteration times in seconds. Alternating the sides within one
+/// window makes host noise hit all of them equally.
+fn interleave<const N: usize>(window: Duration, sides: [&dyn Fn(); N]) -> [Vec<f64>; N] {
+    let mut times = [(); N].map(|_| Vec::new());
+    let start = Instant::now();
+    while start.elapsed() < window || times[0].is_empty() {
+        for (spent, run) in times.iter_mut().zip(sides) {
+            let t0 = Instant::now();
+            run();
+            spent.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    times
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_unstable_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 fn main() {
     let window = Duration::from_millis(window_ms());
     let trace = gen::sparselu(gen::SparseLuConfig::paper(128));
     let tasks = trace.len() as f64;
 
     // Metrics overhead guard: the same raw-engine run with and without a
-    // coarse-window telemetry timeline attached, interleaved A/B within
-    // one sampling window so host noise hits both sides equally. Probes
-    // themselves are always-on plain field increments; the guard measures
-    // what *attaching a sampler* adds (one branch per clock move plus one
+    // coarse-window telemetry timeline attached. Probes themselves are
+    // always-on plain field increments; the guard measures what
+    // *attaching a sampler* adds (one branch per clock move plus one
     // probe per window).
     let engine_run = |timeline: Option<u64>| {
         let mut sys = PicosSystem::new(PicosConfig::balanced());
@@ -83,46 +97,28 @@ fn main() {
         std::hint::black_box(sys.now());
         std::hint::black_box(sys.take_timeline().map(|t| t.len()));
     };
-    let mut off_on = [0.0f64; 2];
-    {
-        // Interleaved measurement: alternate off/on runs over a shared
-        // wall-clock window, accumulating each side's own time.
-        engine_run(None);
-        engine_run(Some(65_536));
-        let mut spent = [Duration::ZERO; 2];
-        let mut iters = [0u64; 2];
-        let start = Instant::now();
-        while start.elapsed() < window * 2 || iters[1] == 0 {
-            for (side, timeline) in [(0, None), (1, Some(65_536u64))] {
-                let t0 = Instant::now();
-                engine_run(timeline);
-                spent[side] += t0.elapsed();
-                iters[side] += 1;
-            }
-        }
-        for side in 0..2 {
-            off_on[side] = iters[side] as f64 / spent[side].as_secs_f64() * tasks;
-        }
-    }
-    let [metrics_off_tasks_per_sec, metrics_timeline_tasks_per_sec] = off_on;
+    engine_run(None);
+    engine_run(Some(65_536));
+    // Mean over the interleaved runs of each side.
+    let [metrics_off_tasks_per_sec, metrics_timeline_tasks_per_sec] = interleave(
+        window * 2,
+        [&|| engine_run(None), &|| engine_run(Some(65_536))],
+    )
+    .map(|v| v.len() as f64 / v.iter().sum::<f64>() * tasks);
 
-    let runs_per_sec = sample(window, || engine_run(None));
-    let tasks_per_sec = runs_per_sec * tasks;
+    let tasks_per_sec = sample(window, || engine_run(None)) * tasks;
 
     // The batch backend path: ExecBackend::run is a default method over a
     // streaming session (feed the trace, finish). Same core as above plus
     // worker/dispatch simulation.
     let hw = BackendSpec::Picos(picos_hil::HilMode::HwOnly).build(8, &PicosConfig::balanced());
-    let batch_runs_per_sec = sample(window, || {
+    let batch_tasks_per_sec = sample(window, || {
         std::hint::black_box(hw.run(&trace).expect("batch run completes"));
-    });
-    let batch_tasks_per_sec = batch_runs_per_sec * tasks;
+    }) * tasks;
 
     // Span-recorder overhead guard: the same session-driven batch run with
-    // and without task-lifecycle span tracing attached, interleaved A/B
-    // like the timeline guard above. Tracing adds one preallocated-vec
-    // push per lifecycle event; the guard pins that the full spans-on run
-    // stays within 10% of spans-off throughput.
+    // and without task-lifecycle span tracing attached. Tracing adds one
+    // preallocated-vec push per lifecycle event.
     let batch_run = |spans: bool| {
         let cfg = SessionConfig {
             trace_spans: spans,
@@ -134,78 +130,13 @@ fn main() {
         std::hint::black_box(out.report.makespan);
         std::hint::black_box(out.spans.map(|l| l.len()));
     };
-    // Median-of-iterations per side (like the cluster A/B below): the
-    // 10% gate is tighter than host noise on a mean, medians are stable.
-    let mut span_times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    {
-        batch_run(false);
-        batch_run(true);
-        let start = Instant::now();
-        while start.elapsed() < window * 2 || span_times[1].is_empty() {
-            for (side, spans) in [(0, false), (1, true)] {
-                let t0 = Instant::now();
-                batch_run(spans);
-                span_times[side].push(t0.elapsed().as_secs_f64());
-            }
-        }
-    }
-    let [spans_off_tasks_per_sec, spans_on_tasks_per_sec] = span_times.map(|mut v| {
-        v.sort_unstable_by(f64::total_cmp);
-        tasks / v[v.len() / 2]
-    });
-
-    // Timeline-shape regression gate: one golden workload through the
-    // batch path with a coarse window attached, asserting the exact
-    // invariants of the sampled series (delta series reproduce their
-    // end-of-run counters; samples tile the run). Runs are deterministic,
-    // so a violation means the sampler or a probe site regressed.
-    {
-        let cfg = SessionConfig {
-            timeline_window: Some(65_536),
-            ..SessionConfig::batch()
-        };
-        let out = hw
-            .run_with_telemetry(&trace, cfg)
-            .expect("golden timeline run completes");
-        let tl = out.timeline.as_ref().expect("timeline was requested");
-        let stats = out.stats.as_ref().expect("picos backends report stats");
-        assert!(!tl.is_empty(), "golden run must produce samples");
-        assert_eq!(tl.sample(0).0, 0, "first window starts at cycle 0");
-        let column_sum = |suffix: &str| -> u64 {
-            let name = tl
-                .series()
-                .iter()
-                .map(|s| s.name.clone())
-                .find(|n| n.ends_with(suffix))
-                .unwrap_or_else(|| panic!("series *{suffix} must exist"));
-            tl.column(&name).expect("column exists").iter().sum()
-        };
-        assert_eq!(
-            column_sum("done.tasks"),
-            trace.len() as u64,
-            "done.tasks deltas must sum to the task count"
-        );
-        assert_eq!(
-            column_sum("busy.ts"),
-            stats.busy_ts,
-            "busy.ts deltas must reproduce the end-of-run counter"
-        );
-        assert_eq!(
-            column_sum("done.deps"),
-            stats.deps_processed,
-            "done.deps deltas must reproduce the end-of-run counter"
-        );
-    }
-
-    // The streaming session at saturation: open-loop arrivals every cycle
-    // against a bounded in-flight window, so admission backpressure and
-    // the step/drain machinery are on the measured path.
-    let session_runs_per_sec = sample(window, || {
-        let r = pace::run_paced(&*hw, pace::PacedTrace::new(&trace, 1), Some(64))
-            .expect("paced run completes");
-        std::hint::black_box(r.report.makespan);
-    });
-    let session_tasks_per_sec = session_runs_per_sec * tasks;
+    batch_run(false);
+    batch_run(true);
+    // Median-of-iterations per side: the 10% gate is tighter than host
+    // noise on a mean, medians are stable.
+    let [spans_off_tasks_per_sec, spans_on_tasks_per_sec] =
+        interleave(window * 2, [&|| batch_run(false), &|| batch_run(true)])
+            .map(|v| tasks / median(v));
 
     // Snapshot roundtrip: capture a mid-feed Picos session, serialize it
     // through the in-tree JSON codec, parse it back and restore into a
@@ -228,37 +159,8 @@ fn main() {
     });
     drop(mid);
 
-    // The sweep_throughput grid: two Cholesky granularities x three
-    // backends x four worker counts, cell-parallel.
-    let grid = Sweep::over_apps([App::Cholesky], [256, 128])
-        .workers([2, 4, 8, 12])
-        .backends([
-            BackendSpec::Perfect,
-            BackendSpec::Nanos,
-            BackendSpec::Picos(HilMode::HwOnly),
-        ]);
-    let cells = grid.cells().len() as f64;
-    let sweeps_per_sec = sample(window, || {
-        std::hint::black_box(grid.run().rows().len());
-    });
-    let cells_per_sec = sweeps_per_sec * cells;
-
-    // Cluster backend: shard counts over the open-loop stream workload
-    // (its home turf), so the new backend's perf trajectory is covered
-    // from day one.
-    let stream = Arc::new(gen::stream(gen::StreamConfig::heavy(800)));
-    let cluster_grid = Sweep::new([Workload::from_trace("stream", stream)])
-        .workers([8])
-        .backends([1usize, 2, 4].map(BackendSpec::Cluster));
-    let cluster_cells = cluster_grid.cells().len() as f64;
-    let cluster_runs_per_sec = sample(window, || {
-        std::hint::black_box(cluster_grid.run().rows().len());
-    });
-    let cluster_cells_per_sec = cluster_runs_per_sec * cluster_cells;
-
-    // Serial vs parallel cluster engine at 4 shards on the same stream
-    // workload, interleaved A/B within one window so host noise hits both
-    // sides equally. The parallel engine is bit-identical to serial, so
+    // Serial vs parallel cluster engine at 4 shards on the open-loop
+    // stream workload. The parallel engine is bit-identical to serial, so
     // this measures pure wall-clock: the epoch engine's O(events)
     // processing against the serial driver's O(shards)-per-event pump
     // scans, plus real threads when the host has cores to give (the
@@ -296,22 +198,19 @@ fn main() {
     // tighter than host noise on a mean, but the interleaved medians are
     // stable. fault0 runs adjacent to serial4 (its comparison side), so
     // the multi-threaded par4 run's thermal wake biases neither.
-    let mut times: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    {
-        let start = Instant::now();
-        while start.elapsed() < window * 3 || times[1].is_empty() {
-            for (side, backend) in [(0, &serial4), (2, &fault0), (1, &par4)] {
-                let t0 = Instant::now();
-                std::hint::black_box(backend.run(&stream4).expect("cluster run completes"));
-                times[side].push(t0.elapsed().as_secs_f64());
-            }
-        }
-    }
-    let [cluster_serial4_cells_per_sec, cluster_par_cells_per_sec, cluster_fault0_cells_per_sec] =
-        times.map(|mut v| {
-            v.sort_unstable_by(f64::total_cmp);
-            1.0 / v[v.len() / 2]
-        });
+    let cluster_run = |backend: &dyn ExecBackend| {
+        std::hint::black_box(backend.run(&stream4).expect("cluster run completes"));
+    };
+    let [cluster_serial4_cells_per_sec, cluster_fault0_cells_per_sec, cluster_par_cells_per_sec] =
+        interleave(
+            window * 3,
+            [
+                &|| cluster_run(&*serial4),
+                &|| cluster_run(&*fault0),
+                &|| cluster_run(&*par4),
+            ],
+        )
+        .map(|v| 1.0 / median(v));
 
     // Serve-layer multiplexing tax: 256 stream tenants multiplexed behind
     // one Service on one scheduler thread, against the same 256 sessions
@@ -319,7 +218,7 @@ fn main() {
     // The scheduler is invisible to the schedules (pinned by the serve
     // conformance suite), so the A/B isolates the service's bookkeeping —
     // registry lookups, admission checks, journaling, fair rounds — per
-    // session. Interleaved medians as above.
+    // session.
     let serve_tenants = 256usize;
     let serve_trace = gen::stream(gen::StreamConfig::heavy(24));
     let serve_spec = TenantSpec::new(BackendSpec::Nanos, 2);
@@ -358,41 +257,20 @@ fn main() {
             std::hint::black_box(r.makespan);
         }
     };
-    let mut serve_times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    {
-        mux_run();
-        solo_run();
-        let start = Instant::now();
-        while start.elapsed() < window * 2 || serve_times[1].is_empty() {
-            for (side, run) in [(0, &mux_run as &dyn Fn()), (1, &solo_run)] {
-                let t0 = Instant::now();
-                run();
-                serve_times[side].push(t0.elapsed().as_secs_f64());
-            }
-        }
-    }
-    let [serve_sessions_per_sec, serve_solo_sessions_per_sec] = serve_times.map(|mut v| {
-        v.sort_unstable_by(f64::total_cmp);
-        serve_tenants as f64 / v[v.len() / 2]
-    });
+    mux_run();
+    solo_run();
+    let [serve_sessions_per_sec, serve_solo_sessions_per_sec] =
+        interleave(window * 2, [&mux_run, &solo_run]).map(|v| serve_tenants as f64 / median(v));
 
     let json = format!(
         "{{\n  \"workload\": \"sparselu128\",\n  \"tasks\": {},\n  \
-         \"baseline_tasks_per_sec\": {:.0},\n  \
-         \"baseline_note\": \"pre-rewrite engine on the reference machine; \
-         speedup_vs_baseline is only meaningful there — across CI runners \
-         compare tasks_per_sec between runs instead\",\n  \
          \"tasks_per_sec\": {:.0},\n  \
-         \"speedup_vs_baseline\": {:.2},\n  \
          \"metrics_off_tasks_per_sec\": {:.0},\n  \
          \"metrics_timeline_tasks_per_sec\": {:.0},\n  \
          \"spans_off_tasks_per_sec\": {:.0},\n  \
          \"spans_on_tasks_per_sec\": {:.0},\n  \
          \"batch_tasks_per_sec\": {:.0},\n  \
-         \"session_tasks_per_sec\": {:.0},\n  \
-         \"snapshot_roundtrip_per_sec\": {:.1},\n  \"sweep_cells\": {},\n  \
-         \"sweep_cells_per_sec\": {:.1},\n  \"cluster_cells\": {},\n  \
-         \"cluster_cells_per_sec\": {:.1},\n  \
+         \"snapshot_roundtrip_per_sec\": {:.1},\n  \
          \"cluster_serial4_cells_per_sec\": {:.1},\n  \
          \"cluster_par_cells_per_sec\": {:.1},\n  \
          \"cluster_fault0_cells_per_sec\": {:.1},\n  \
@@ -400,20 +278,13 @@ fn main() {
          \"serve_sessions_per_sec\": {:.1},\n  \
          \"serve_solo_sessions_per_sec\": {:.1}\n}}\n",
         tasks as u64,
-        BASELINE_TASKS_PER_SEC,
         tasks_per_sec,
-        tasks_per_sec / BASELINE_TASKS_PER_SEC,
         metrics_off_tasks_per_sec,
         metrics_timeline_tasks_per_sec,
         spans_off_tasks_per_sec,
         spans_on_tasks_per_sec,
         batch_tasks_per_sec,
-        session_tasks_per_sec,
         snapshot_roundtrip_per_sec,
-        cells as u64,
-        cells_per_sec,
-        cluster_cells as u64,
-        cluster_cells_per_sec,
         cluster_serial4_cells_per_sec,
         cluster_par_cells_per_sec,
         cluster_fault0_cells_per_sec,
@@ -425,76 +296,71 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_engine.json", &json) {
         eprintln!("warning: could not write BENCH_engine.json: {e}");
     }
-    // CI assertion: the session-backed batch path must stay within a
-    // sanity factor of the raw engine measured in the same process. A
-    // violation means the session refactor (or a later change) put
-    // something expensive on the batch hot path.
-    if batch_tasks_per_sec < tasks_per_sec / 4.0 {
-        eprintln!(
-            "FAIL: batch path {batch_tasks_per_sec:.0} tasks/s fell below a \
-             quarter of the raw engine's {tasks_per_sec:.0} tasks/s"
-        );
-        std::process::exit(1);
+
+    // The gates: (what, measured side, reference side, least allowed
+    // fraction of the reference).
+    let gates = [
+        // (a) The session-backed batch path must stay within a sanity
+        // factor of the raw engine; a violation means something expensive
+        // landed on the batch hot path (measured ~0.75 on the reference
+        // machine).
+        (
+            "(a) batch path vs raw engine",
+            batch_tasks_per_sec,
+            tasks_per_sec,
+            0.25,
+        ),
+        // (b) The telemetry layer's contract: one branch per clock move,
+        // one probe per window.
+        (
+            "(b) coarse-window timeline vs probes only",
+            metrics_timeline_tasks_per_sec,
+            metrics_off_tasks_per_sec,
+            0.9,
+        ),
+        // (c) The span layer's contract: one branch per lifecycle site
+        // when detached, one preallocated push when attached.
+        (
+            "(c) spans on vs spans off",
+            spans_on_tasks_per_sec,
+            spans_off_tasks_per_sec,
+            0.9,
+        ),
+        // (d) Never slower than the serial reference, with a 5% noise
+        // allowance (measured >= 1.7x faster even single-core).
+        (
+            "(d) parallel vs serial 4-shard cluster",
+            cluster_par_cells_per_sec,
+            cluster_serial4_cells_per_sec,
+            0.95,
+        ),
+        // (e) The fault layer's contract: one u32 + bool per message and
+        // constant-time empty-queue checks; no RNG draws at zero rates.
+        (
+            "(e) zero-fault plan vs no plan",
+            cluster_fault0_cells_per_sec,
+            cluster_serial4_cells_per_sec,
+            0.97,
+        ),
+        // (f) The serve layer's contract: registry lookup + admission
+        // check per submit, fair rounds amortised across tenants.
+        (
+            "(f) multiplexed service vs solo sessions",
+            serve_sessions_per_sec,
+            serve_solo_sessions_per_sec,
+            0.75,
+        ),
+    ];
+    let mut tripped = false;
+    for (what, side, reference, floor) in gates {
+        if side < reference * floor {
+            eprintln!(
+                "FAIL: {what}: {side:.1}/s fell below {floor} x the reference's {reference:.1}/s"
+            );
+            tripped = true;
+        }
     }
-    // CI assertion: attaching a coarse-window (65536-cycle) timeline must
-    // cost no more than 10% of engine throughput — the telemetry layer's
-    // overhead contract (one branch per clock move, one probe per window).
-    // Interleaved A/B measurement above keeps host noise symmetric.
-    if metrics_timeline_tasks_per_sec < metrics_off_tasks_per_sec * 0.9 {
-        eprintln!(
-            "FAIL: coarse-window timeline run {metrics_timeline_tasks_per_sec:.0} \
-             tasks/s fell more than 10% below the probes-only \
-             {metrics_off_tasks_per_sec:.0} tasks/s"
-        );
-        std::process::exit(1);
-    }
-    // CI assertion: attaching the span recorder must cost no more than 10%
-    // of batch throughput — the span layer's overhead contract (one branch
-    // per lifecycle site when detached, one preallocated push when
-    // attached). Interleaved A/B measurement keeps host noise symmetric.
-    if spans_on_tasks_per_sec < spans_off_tasks_per_sec * 0.9 {
-        eprintln!(
-            "FAIL: spans-on batch run {spans_on_tasks_per_sec:.0} tasks/s \
-             fell more than 10% below the spans-off \
-             {spans_off_tasks_per_sec:.0} tasks/s"
-        );
-        std::process::exit(1);
-    }
-    // CI assertion: the parallel cluster engine must never be slower than
-    // the serial reference (5% sampling-noise allowance; measured >= 1.7x
-    // faster even single-core, where the win is the epoch engine's
-    // O(events) processing replacing the serial driver's per-event shard
-    // scans — multi-core runners add near-linear thread speedup on top).
-    if cluster_par_cells_per_sec < cluster_serial4_cells_per_sec * 0.95 {
-        eprintln!(
-            "FAIL: parallel 4-shard cluster {cluster_par_cells_per_sec:.1} \
-             cells/s fell below the serial engine's \
-             {cluster_serial4_cells_per_sec:.1} cells/s"
-        );
-        std::process::exit(1);
-    }
-    // CI assertion: an attached zero-fault plan must cost no more than 3%
-    // of serial cluster throughput — the fault layer's overhead contract
-    // (the packet wrapper adds one u32 + bool per message and the pump
-    // adds constant-time empty-queue checks; no RNG draws at zero rates).
-    if cluster_fault0_cells_per_sec < cluster_serial4_cells_per_sec * 0.97 {
-        eprintln!(
-            "FAIL: zero-fault 4-shard cluster {cluster_fault0_cells_per_sec:.1} \
-             cells/s fell more than 3% below the plain serial engine's \
-             {cluster_serial4_cells_per_sec:.1} cells/s"
-        );
-        std::process::exit(1);
-    }
-    // CI assertion: multiplexing 256 tenants behind the service must keep
-    // aggregate session throughput within 25% of the same sessions run
-    // solo — the serve layer's overhead contract (registry lookup +
-    // admission check per submit, fair rounds amortised across tenants).
-    if serve_sessions_per_sec < serve_solo_sessions_per_sec * 0.75 {
-        eprintln!(
-            "FAIL: multiplexed service {serve_sessions_per_sec:.1} sessions/s \
-             fell more than 25% below the solo reference's \
-             {serve_solo_sessions_per_sec:.1} sessions/s"
-        );
+    if tripped {
         std::process::exit(1);
     }
 }

@@ -12,7 +12,7 @@
 #![warn(missing_debug_implementations)]
 
 use picos_backend::{BackendSpec, SweepResult};
-use picos_core::{PicosConfig, Stats, TsPolicy};
+use picos_core::{PicosConfig, TsPolicy};
 use picos_hil::HilMode;
 use picos_runtime::ExecReport;
 use picos_trace::Trace;
@@ -142,23 +142,6 @@ pub fn picos_report(
     mode: HilMode,
 ) -> ExecReport {
     backend_report(trace, BackendSpec::Picos(mode), workers, &picos)
-}
-
-/// Like [`picos_report`] but also returns the core statistics (conflicts).
-pub fn picos_report_with_stats(
-    trace: &Trace,
-    workers: usize,
-    picos: PicosConfig,
-    mode: HilMode,
-) -> (ExecReport, Stats) {
-    let (report, stats) = BackendSpec::Picos(mode)
-        .build(workers, &picos)
-        .run_with_stats(trace)
-        .expect("picos HIL run must complete");
-    (
-        report,
-        stats.expect("picos backends report hardware counters"),
-    )
 }
 
 /// Picos speedup for a trace, worker count, config and mode.

@@ -321,13 +321,6 @@ impl Dct {
         self.chain_hist.copy_from_slice(&hist);
         Ok(())
     }
-
-    /// Returns the wake a drained head version owes; used by the engine
-    /// after consumer chains complete. (Helper for tests.)
-    #[doc(hidden)]
-    pub fn debug_version(&self, idx: u16) -> &VmEntry {
-        self.vm.get(idx)
-    }
 }
 
 /// Convenience: which DCT instance owns an address (GW routing rule; all

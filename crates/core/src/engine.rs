@@ -503,11 +503,6 @@ impl PicosSystem {
         self.spans.take().map(|p| p.log)
     }
 
-    /// Whether a span recorder is attached.
-    pub fn spans_attached(&self) -> bool {
-        self.spans.is_some()
-    }
-
     /// Dense index of a TM slot (spans and wake-latency bookkeeping).
     #[inline]
     fn slot_key(&self, slot: SlotRef) -> usize {

@@ -49,4 +49,4 @@ pub use report::ExecReport;
 pub use session::{
     feed_range, feed_trace, Admission, EventLoopCore, FeedStall, SessionConfig, SessionCore,
 };
-pub use simrt::{run_software, SoftwareSession, SwError, SwRuntimeConfig};
+pub use simrt::{run_software, SoftwareSession, SwError, SwRuntimeConfig, MAX_SW_WORKERS};

@@ -52,6 +52,13 @@ impl SwRuntimeConfig {
     }
 }
 
+/// Most threads a [`SoftwareSession`] accepts. The model keeps state per
+/// thread, so the worker count, which can arrive from a wire request or a
+/// CLI flag, is bounded before anything is allocated for it. The bound
+/// sits far above any modelled machine (the figure grids stop at 48
+/// threads) and matches the cluster's shard cap.
+pub const MAX_SW_WORKERS: usize = 4096;
+
 /// Errors from the software-runtime simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwError {
@@ -242,11 +249,17 @@ impl SoftwareSession {
     ///
     /// # Errors
     ///
-    /// Returns [`SwError::Config`] for a zero worker count, or one worker
-    /// with `master_executes` disabled.
+    /// Returns [`SwError::Config`] for a zero worker count, more than
+    /// [`MAX_SW_WORKERS`], or one worker with `master_executes` disabled.
     pub fn new(cfg: SwRuntimeConfig, session: SessionConfig) -> Result<Self, SwError> {
         if cfg.workers == 0 {
             return Err(SwError::Config("need at least one thread".into()));
+        }
+        if cfg.workers > MAX_SW_WORKERS {
+            return Err(SwError::Config(format!(
+                "{} threads exceed the software runtime's limit of {MAX_SW_WORKERS}",
+                cfg.workers
+            )));
         }
         if cfg.workers == 1 && !cfg.master_executes {
             return Err(SwError::Config(
@@ -618,9 +631,9 @@ impl SessionCore for SoftwareSession {
 ///
 /// # Errors
 ///
-/// Returns [`SwError::Config`] for a zero worker count (or one worker with
-/// `master_executes` disabled) and [`SwError::Stuck`] if the simulation
-/// cannot finish (which would indicate an internal bug).
+/// Returns [`SwError::Config`] for a configuration
+/// [`SoftwareSession::new`] rejects and [`SwError::Stuck`] if the
+/// simulation cannot finish (which would indicate an internal bug).
 pub fn run_software(trace: &Trace, cfg: SwRuntimeConfig) -> Result<ExecReport, SwError> {
     let mut s = SoftwareSession::new(cfg, SessionConfig::batch())?;
     feed_trace(&mut s, trace).expect("unbounded window cannot stall");
@@ -722,6 +735,9 @@ mod tests {
         let mut cfg = SwRuntimeConfig::with_workers(1);
         cfg.master_executes = false;
         assert!(matches!(run_software(&tr, cfg), Err(SwError::Config(_))));
+        let cfg = SwRuntimeConfig::with_workers(MAX_SW_WORKERS + 1);
+        assert!(matches!(run_software(&tr, cfg), Err(SwError::Config(_))));
+        assert!(run_software(&tr, SwRuntimeConfig::with_workers(MAX_SW_WORKERS)).is_ok());
     }
 
     #[test]

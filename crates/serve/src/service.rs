@@ -536,11 +536,6 @@ impl Service {
         self.index.contains_key(name)
     }
 
-    /// Live tenant names, registry (scheduling) order.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.tenants.iter().map(|t| t.name.as_str()).collect()
-    }
-
     /// Tenants dropped during crash recovery, with the reason.
     pub fn recovery_errors(&self) -> &[(String, String)] {
         &self.recovery_errors
@@ -1054,14 +1049,27 @@ impl Service {
         spec: &TenantSpec,
     ) -> Result<(), ServeError> {
         let path = dir.join(format!("{name}.journal.json"));
+        let bad = |m: String| ServeError::Io(format!("journal {}: {m}", path.display()));
         let text = std::fs::read_to_string(&path).map_err(|e| ServeError::Io(e.to_string()))?;
-        let journal = SessionJournal::from_json(&text)
-            .map_err(|e| ServeError::Io(format!("journal {}: {e}", path.display())))?;
-        let base = journal_file_base(&text);
+        let doc = parse_json(&text).map_err(|e| bad(e.to_string()))?;
+        let journal = SessionJournal::from_value(&doc).map_err(|e| bad(e.to_string()))?;
+        // `base` is the absolute index of the file's first op; absent on a
+        // journal never compacted by a checkpoint.
+        let base = match doc.as_obj().and_then(|o| o.get("base")) {
+            None => 0,
+            Some(b) => b
+                .as_int()
+                .ok_or_else(|| bad("\"base\" must be a non-negative integer".into()))?,
+        };
         let checkpoint = read_checkpoint(&dir.join(format!("{name}.checkpoint.json")))?;
-        if checkpoint.is_none() && base > 0 {
+        // The checkpoint must reach at least the journal's first op, or the
+        // ops in between are lost. An older journal is fine: its covered
+        // prefix is skipped below.
+        let cursor = checkpoint.as_ref().map_or(0, |c| c.cursor);
+        if base > cursor {
             return Err(ServeError::Io(format!(
-                "journal starts at op {base} but no checkpoint covers the prefix"
+                "journal starts at op {base} but no checkpoint covers the prefix \
+                 (checkpoint cursor {cursor})"
             )));
         }
         self.open(name, spec)?;
@@ -1090,7 +1098,7 @@ impl Service {
             t.steps = c.steps;
             // The journal file may predate the checkpoint (crash between
             // the two writes): skip the ops the snapshot already covers.
-            skip = c.cursor.saturating_sub(base) as usize;
+            skip = (c.cursor - base) as usize;
         }
         if let Err(stall) = replay_journal_tail(&mut self.tenants[i].session, &journal, skip) {
             return Err(undo(self, format!("replay stalled: {stall}")));
@@ -1154,18 +1162,6 @@ fn journal_file_json(journal: &SessionJournal, base: u64) -> String {
         &format!("{{\"version\":1,\"base\":{base},"),
         1,
     )
-}
-
-/// The `"base"` of a persisted journal file; `0` when absent (a journal
-/// never compacted by a checkpoint).
-fn journal_file_base(text: &str) -> u64 {
-    parse_json(text)
-        .ok()
-        .and_then(|v| {
-            v.as_obj()
-                .and_then(|o| o.get("base").and_then(Value::as_int))
-        })
-        .unwrap_or(0)
 }
 
 /// Parses one `{"name":..., "spec":{...}}` manifest entry.

@@ -387,3 +387,95 @@ fn corrupted_checkpoint_is_an_isolated_recovery_error() {
         "the healthy tenant recovers bit-exactly"
     );
 }
+
+/// Feeds the whole trace to Perfect tenants "a" and "b" in a journaled
+/// service and in an uninterrupted one, checkpointing the journaled one
+/// after each op count in `cuts`, then flushes and stops it. Returns its
+/// config, the uninterrupted service and tenant "a"'s checkpoint file as
+/// written at each cut.
+fn checkpointed_pair(tag: &str, cuts: &[usize]) -> (ServeConfig, Service, Vec<String>) {
+    let dir = scratch(tag);
+    let cfg = ServeConfig {
+        default_quota: 6,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let mut durable = Service::new(cfg.clone()).unwrap();
+    let mut continuous = Service::new(ServeConfig {
+        journal_dir: None,
+        ..cfg.clone()
+    })
+    .unwrap();
+    let names = ["a".to_string(), "b".to_string()];
+    let spec = TenantSpec::new(BackendSpec::Perfect, 4);
+    for name in &names {
+        durable.open(name, &spec).unwrap();
+        continuous.open(name, &spec).unwrap();
+    }
+    let trace = gen::stream(gen::StreamConfig::heavy(120));
+    let mut checkpoints = Vec::new();
+    let mut from = 0;
+    for &cut in cuts {
+        feed(&mut durable, &names, &trace, from..cut);
+        feed(&mut continuous, &names, &trace, from..cut);
+        assert_eq!(durable.checkpoint_all().unwrap(), names.len());
+        checkpoints.push(std::fs::read_to_string(dir.join("a.checkpoint.json")).unwrap());
+        from = cut;
+    }
+    feed(&mut durable, &names, &trace, from..trace.len());
+    feed(&mut continuous, &names, &trace, from..trace.len());
+    durable.flush_journals().unwrap();
+    (cfg, continuous, checkpoints)
+}
+
+/// Recovery from `cfg` must report tenant "a" alone with a reason
+/// containing `reason`, leave it closed, and recover "b" exactly.
+fn assert_only_a_fails(cfg: ServeConfig, mut continuous: Service, reason: &str) {
+    let mut recovered = Service::new(cfg).unwrap();
+    assert_eq!(
+        recovered.recovery_errors().len(),
+        1,
+        "{:?}",
+        recovered.recovery_errors()
+    );
+    let (name, why) = &recovered.recovery_errors()[0];
+    assert_eq!(name, "a");
+    assert!(why.contains(reason), "unexpected reason: {why}");
+    assert!(!recovered.contains("a"), "tenant \"a\" must not half-open");
+    assert_eq!(
+        recovered.close("b").unwrap(),
+        continuous.close("b").unwrap(),
+        "the healthy tenant recovers bit-exactly"
+    );
+}
+
+/// A journal file whose `base` is not an integer is a recovery error for
+/// its tenant, not a journal that silently starts at op 0.
+#[test]
+fn non_integer_journal_base_is_an_isolated_recovery_error() {
+    let (cfg, continuous, _) = checkpointed_pair("base-type", &[20]);
+    let path = cfg.journal_dir.as_ref().unwrap().join("a.journal.json");
+    let mut doc = parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Value::Obj(fields) = &mut doc else {
+        panic!("journal file is an object");
+    };
+    assert_eq!(fields.get("base"), Some(&Value::Int(20)));
+    fields.insert("base".into(), Value::Str("20".into()));
+    std::fs::write(&path, value_to_json(&doc)).unwrap();
+    assert_only_a_fails(cfg, continuous, "\"base\" must be a non-negative integer");
+}
+
+/// A checkpoint older than its journal's `base` leaves the ops between
+/// them in neither file: a recovery error for that tenant, never a
+/// replay that skips them.
+#[test]
+fn checkpoint_older_than_its_journal_is_an_isolated_recovery_error() {
+    let (cfg, continuous, checkpoints) = checkpointed_pair("stale-ckpt", &[20, 40]);
+    let dir = cfg.journal_dir.clone().unwrap();
+    std::fs::write(dir.join("a.checkpoint.json"), &checkpoints[0]).unwrap();
+    assert_only_a_fails(
+        cfg,
+        continuous,
+        "journal starts at op 40 but no checkpoint covers the prefix (checkpoint cursor 20)",
+    );
+}

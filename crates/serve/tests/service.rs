@@ -3,6 +3,7 @@
 
 use picos_backend::{Admission, BackendSpec};
 use picos_cluster::FaultPlan;
+use picos_runtime::MAX_SW_WORKERS;
 use picos_serve::{
     schedule_digest, Request, ServeConfig, ServeError, ServeHandle, Service, SubmitOutcome,
     TenantSpec,
@@ -284,6 +285,26 @@ fn deeply_nested_request_lines_are_rejected_not_fatal() {
     }
     let open = Request::Open {
         tenant: "after".into(),
+        spec: TenantSpec::new(BackendSpec::Nanos, 2),
+    };
+    assert_eq!(h.handle_line(&open.to_line()), "{\"ok\":true}");
+}
+
+/// An `open` asking the software runtime for more threads than it models
+/// is an ordinary error response naming the bound. The model keeps state
+/// per thread, so this line used to abort the process on the allocation.
+#[test]
+fn oversized_worker_count_is_rejected_not_fatal() {
+    let mut h = ServeHandle::new(ServeConfig::default()).unwrap();
+    let resp = h.handle_line(
+        "{\"cmd\":\"open\",\"tenant\":\"t\",\
+         \"spec\":{\"backend\":\"nanos\",\"workers\":1099511627776}}",
+    );
+    assert!(resp.starts_with("{\"ok\":false,"), "{resp}");
+    assert!(resp.contains(&MAX_SW_WORKERS.to_string()), "{resp}");
+    assert_eq!(h.service().len(), 0, "the registry is unchanged");
+    let open = Request::Open {
+        tenant: "t".into(),
         spec: TenantSpec::new(BackendSpec::Nanos, 2),
     };
     assert_eq!(h.handle_line(&open.to_line()), "{\"ok\":true}");

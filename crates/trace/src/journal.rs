@@ -143,7 +143,17 @@ impl SessionJournal {
     /// malformed JSON, an unsupported version, an unknown op kind, or an
     /// invalid task object.
     pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let Value::Obj(top) = parse_value(s)? else {
+        Self::from_value(&parse_value(s)?)
+    }
+
+    /// Decodes a journal from an already parsed JSON document, for callers
+    /// that read other fields of the same document.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionJournal::from_json`], minus malformed JSON.
+    pub fn from_value(v: &Value) -> Result<Self, JsonError> {
+        let Value::Obj(top) = v else {
             return Err(bad("journal must be a JSON object"));
         };
         let version = as_u64(

@@ -35,15 +35,13 @@
 //! back with [`Dec::guard`].
 //!
 //! Integers narrow with one rule: a slot that does not fit the target
-//! type is a [`SnapError`], never a wrapped value. Top-level sections use
-//! labeled objects ([`obj`] / [`field`]) so whole-session snapshots stay
-//! navigable and versionable.
+//! type is a [`SnapError`], never a wrapped value.
 //!
 //! All numbers ride [`Value::Int`], which keeps full 64-bit values exact
 //! (the JSON parser never routes integers through `f64`).
 
 use crate::json::{json_escape, parse_json, JsonError, Value};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -133,46 +131,6 @@ pub fn value_to_json(v: &Value) -> String {
 /// Returns [`SnapError`] on malformed JSON.
 pub fn value_from_json(s: &str) -> Result<Value, SnapError> {
     Ok(parse_json(s)?)
-}
-
-// ------------------------------------------------------------------ objects
-
-/// Builds a labeled object from `(key, value)` sections.
-pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-/// Looks a section up in a labeled object.
-///
-/// # Errors
-///
-/// Returns [`SnapError`] when `v` is not an object or lacks the field.
-pub fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SnapError> {
-    v.as_obj()
-        .ok_or_else(|| SnapError::new(format!("expected an object holding '{name}'")))?
-        .get(name)
-        .ok_or_else(|| SnapError::new(format!("missing snapshot section '{name}'")))
-}
-
-/// Looks an optional section up in a labeled object (`None` when absent
-/// or JSON `null`).
-///
-/// # Errors
-///
-/// Returns [`SnapError`] when `v` is not an object.
-pub fn opt_field<'v>(v: &'v Value, name: &str) -> Result<Option<&'v Value>, SnapError> {
-    let m = v
-        .as_obj()
-        .ok_or_else(|| SnapError::new(format!("expected an object holding '{name}'")))?;
-    Ok(match m.get(name) {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(v),
-    })
 }
 
 /// Checks a config fingerprint (or shape, or attachment flag) recorded at
@@ -711,7 +669,14 @@ mod tests {
             .put(&Some(7u64))
             .put(&vec![1u64, 2, 3])
             .put(&vec![(4u64, true), (5, false)]);
-        let v = obj([("version", Value::Int(1)), ("state", e.done())]);
+        let v = Value::Obj(
+            [
+                ("version".to_string(), Value::Int(1)),
+                ("state".to_string(), e.done()),
+            ]
+            .into_iter()
+            .collect(),
+        );
         let text = value_to_json(&v);
         let back = value_from_json(&text).unwrap();
         assert_eq!(v, back, "exact tree roundtrip, u64::MAX kept exact");
@@ -787,15 +752,5 @@ mod tests {
         assert!(guard("workers", 4, 4).is_ok());
         let err = guard("workers", 4, 8).unwrap_err();
         assert!(err.message.contains("workers"), "{err}");
-    }
-
-    #[test]
-    fn fields_and_sections() {
-        let v = obj([("a", Value::Int(1)), ("b", Value::Null)]);
-        assert_eq!(field(&v, "a").unwrap(), &Value::Int(1));
-        assert!(field(&v, "missing").is_err());
-        assert!(opt_field(&v, "b").unwrap().is_none());
-        assert!(opt_field(&v, "missing").unwrap().is_none());
-        assert_eq!(opt_field(&v, "a").unwrap(), Some(&Value::Int(1)));
     }
 }

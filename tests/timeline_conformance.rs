@@ -92,36 +92,46 @@ fn telemetry_is_observation_only() {
     }
 }
 
+/// At the test window and at the coarse 65,536-cycle window of the
+/// timeline overhead gate, samples tile the run from cycle 0 and the
+/// delta series sum back to the end-of-run counters.
 #[test]
 fn delta_series_sum_to_end_of_run_counters() {
     let trace = gen::sparselu(gen::SparseLuConfig::paper(128));
-    let out = telemetry(BackendSpec::Picos(HilMode::HwOnly), &trace);
-    let stats = out.stats.expect("picos counters");
-    let tl = out.timeline.expect("timeline requested");
-    let sum = |name: &str| {
-        tl.column(name)
-            .unwrap_or_else(|| panic!("missing series {name}"))
-            .iter()
-            .sum::<u64>()
-    };
-    assert_eq!(sum("core.busy.gw"), stats.busy_gw);
-    assert_eq!(sum("core.busy.trs"), stats.busy_trs);
-    assert_eq!(sum("core.busy.dct"), stats.busy_dct);
-    assert_eq!(sum("core.busy.arb"), stats.busy_arb);
-    assert_eq!(sum("core.busy.ts"), stats.busy_ts);
-    assert_eq!(sum("core.done.tasks"), stats.tasks_completed);
-    assert_eq!(sum("core.done.deps"), stats.deps_processed);
-    assert_eq!(sum("core.stall.dm"), stats.dm_conflicts);
-    // The timeline spans the whole run: it ends at engine quiescence,
-    // which is at or shortly after the last task's completion (the core
-    // still drains the finish pipeline past the makespan).
-    let (_, last_end, _) = tl.sample(tl.len() - 1);
-    assert!(last_end >= out.report.makespan, "timeline spans the run");
-    assert!(
-        last_end - out.report.makespan < 10_000,
-        "only the retire pipeline drains past the makespan"
-    );
-    assert!(tl.len() as u64 >= out.report.makespan / WINDOW);
+    let backend = BackendSpec::Picos(HilMode::HwOnly).build(8, &PicosConfig::balanced());
+    for window in [WINDOW, 65_536] {
+        let out = backend
+            .run_with_telemetry(&trace, SessionConfig::timed(window))
+            .unwrap_or_else(|e| panic!("window {window}: {e}"));
+        let stats = out.stats.expect("picos counters");
+        let tl = out.timeline.expect("timeline requested");
+        let sum = |name: &str| {
+            tl.column(name)
+                .unwrap_or_else(|| panic!("missing series {name}"))
+                .iter()
+                .sum::<u64>()
+        };
+        assert_eq!(tl.sample(0).0, 0, "window {window}: starts at cycle 0");
+        assert_eq!(sum("core.busy.gw"), stats.busy_gw);
+        assert_eq!(sum("core.busy.trs"), stats.busy_trs);
+        assert_eq!(sum("core.busy.dct"), stats.busy_dct);
+        assert_eq!(sum("core.busy.arb"), stats.busy_arb);
+        assert_eq!(sum("core.busy.ts"), stats.busy_ts);
+        assert_eq!(sum("core.done.tasks"), stats.tasks_completed);
+        assert_eq!(stats.tasks_completed, trace.len() as u64);
+        assert_eq!(sum("core.done.deps"), stats.deps_processed);
+        assert_eq!(sum("core.stall.dm"), stats.dm_conflicts);
+        // The timeline spans the whole run: it ends at engine quiescence,
+        // which is at or shortly after the last task's completion (the
+        // core still drains the finish pipeline past the makespan).
+        let (_, last_end, _) = tl.sample(tl.len() - 1);
+        assert!(last_end >= out.report.makespan, "timeline spans the run");
+        assert!(
+            last_end - out.report.makespan < 10_000,
+            "only the retire pipeline drains past the makespan"
+        );
+        assert!(tl.len() as u64 >= out.report.makespan / window);
+    }
 }
 
 #[test]
