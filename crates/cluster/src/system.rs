@@ -159,6 +159,9 @@ pub struct ClusterSession {
     /// A caught parallel-lane panic: the session is dead and reports this
     /// instead of driving further.
     engine_err: Option<ClusterError>,
+    /// The shared drive's settled flag ([`EventLoopCore::settled`]); not
+    /// serialized.
+    settled: bool,
 }
 
 impl ClusterSession {
@@ -244,6 +247,7 @@ impl ClusterSession {
             faults,
             restarts: HashSet::new(),
             engine_err: None,
+            settled: false,
             cfg,
         })
     }
@@ -733,6 +737,10 @@ impl EventLoopCore for ClusterSession {
             || (self.next_feed < self.ingest.admitted
                 && !self.ingest.feedable(self.next_feed, self.ingest.finished))
     }
+
+    fn settled(&mut self) -> &mut bool {
+        &mut self.settled
+    }
 }
 
 impl SessionCore for ClusterSession {
@@ -741,6 +749,7 @@ impl SessionCore for ClusterSession {
             return Admission::Backpressured;
         }
         let id = self.ingest.admit() as usize;
+        self.settled = false;
         self.log.admit(task.duration);
         self.plan_task(id, task);
         if let Some(log) = &mut self.spans {
@@ -762,6 +771,7 @@ impl SessionCore for ClusterSession {
 
     fn barrier(&mut self) {
         self.ingest.barrier();
+        self.settled = false;
     }
 
     fn advance_to(&mut self, cycle: u64) {
@@ -771,6 +781,9 @@ impl SessionCore for ClusterSession {
             return;
         }
         if self.par_eligible() {
+            // The epoch engine pumps and moves the clock outside the
+            // shared drive.
+            self.settled = false;
             self.drive_events_par(cycle);
             // The serial drive's trailing jump: land exactly on `cycle`
             // (unless a lane panic just killed the session).

@@ -144,6 +144,7 @@ impl ClusterSession {
             faults,
             restarts,
             engine_err: _,
+            settled: _,
         } = self;
         let arrived: Vec<_> = arrived.iter().map(sorted).collect();
         let slot_at: Vec<_> = slot_at.iter().map(sorted).collect();
@@ -256,6 +257,7 @@ impl ClusterSession {
             }
         }
         self.engine_err = None;
+        self.settled = false;
         Ok(())
     }
 }

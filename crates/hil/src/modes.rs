@@ -229,6 +229,9 @@ pub struct HilSession {
     /// Driver-side lifecycle span recorder; the core's own span probe
     /// rides inside `sys` and is merged at finish. Observation-only.
     spans: Option<SpanLog>,
+    /// The shared drive's settled flag ([`EventLoopCore::settled`]); not
+    /// serialized.
+    settled: bool,
 }
 
 impl HilSession {
@@ -287,6 +290,7 @@ impl HilSession {
             log: ScheduleLog::default(),
             sampler,
             spans,
+            settled: false,
             mode,
             cfg,
         })
@@ -671,6 +675,7 @@ impl HilSession {
             log,
             sampler,
             spans,
+            settled: _,
         } = self;
         let mut e = Enc::new();
         e.put(&mode_code(*mode))
@@ -736,6 +741,7 @@ impl HilSession {
         self.log = d.nest()?;
         self.sampler = d.take()?;
         self.spans = d.take()?;
+        self.settled = false;
         Ok(())
     }
 }
@@ -814,6 +820,10 @@ impl EventLoopCore for HilSession {
     fn ingest_blocked(&self) -> bool {
         self.ingest.saturated() || (self.next_feed < self.ingest.admitted && !self.feed_ready())
     }
+
+    fn settled(&mut self) -> &mut bool {
+        &mut self.settled
+    }
 }
 
 impl SessionCore for HilSession {
@@ -822,6 +832,7 @@ impl SessionCore for HilSession {
             return Admission::Backpressured;
         }
         self.ingest.admit();
+        self.settled = false;
         self.log.admit(task.duration);
         if let Some(log) = &mut self.spans {
             log.record(SpanKind::Submitted, self.t, 0, self.tasks.len() as u32, 0);
@@ -835,6 +846,7 @@ impl SessionCore for HilSession {
 
     fn barrier(&mut self) {
         self.ingest.barrier();
+        self.settled = false;
     }
 
     fn advance_to(&mut self, cycle: u64) {

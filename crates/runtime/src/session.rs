@@ -104,12 +104,16 @@ impl SessionConfig {
         self
     }
 
-    /// Rejects a zero-cycle telemetry window.
+    /// Rejects a zero in-flight window, which would backpressure every
+    /// submit forever, and a zero-cycle telemetry window.
     ///
     /// # Errors
     ///
     /// Returns a message suitable for a backend configuration error.
     pub fn validate(&self) -> Result<(), String> {
+        if self.window == Some(0) {
+            return Err("session window must admit at least one task".into());
+        }
         if self.timeline_window == Some(0) {
             return Err("telemetry timeline window must be at least one cycle".into());
         }
@@ -222,12 +226,28 @@ impl<S: SessionCore + ?Sized> SessionCore for Box<S> {
 /// `step`'s blocked-only minimal advance, and the run-to-quiescence
 /// finish — so the bit-exactness invariant cannot drift between engines.
 ///
+/// # The settled flag
+///
+/// The drives skip a pump that could not change anything. They set the
+/// implementor's [`settled`] flag after each pump and clear it whenever
+/// they move the clock; while it is set, the first pump of a drive (the
+/// settle pump of `step`, `advance_to` and `finish`) is skipped. A
+/// backpressured client loop — `submit` refused, `step`, `submit`
+/// refused, ... — therefore pumps once per step instead of twice.
+///
 /// [`pump`]: EventLoopCore::pump
 /// [`next_time`]: EventLoopCore::next_time
+/// [`settled`]: EventLoopCore::settled
 pub trait EventLoopCore {
     /// Runs the loop body of the batch driver at the current time
-    /// (completions, deliveries, feeding, dispatch). Must be idempotent
-    /// at a fixed time.
+    /// (completions, deliveries, feeding, dispatch).
+    ///
+    /// Must be idempotent at a fixed time: a second pump with no input in
+    /// between changes nothing. The drives rely on this to skip the pump
+    /// of a settled session, so implementors must also clear
+    /// [`settled`](EventLoopCore::settled) on every input that can change
+    /// what a pump at the current time does (an accepted submission, a
+    /// taskwait, a restored snapshot, a clock move outside these drives).
     fn pump(&mut self);
 
     /// Time of the next internal event, if any.
@@ -248,18 +268,22 @@ pub trait EventLoopCore {
     /// saturated or the next task gated behind a taskwait).
     fn ingest_blocked(&self) -> bool;
 
+    /// The drives' settled flag: `true` while a pump at the current time
+    /// has run and no input has arrived since. Stored by the implementor
+    /// and never serialized, so a restored session starts unsettled; a
+    /// `Clone` fork may copy it.
+    fn settled(&mut self) -> &mut bool;
+
     /// The `advance_to` drive: process every event up to `cycle`, then
     /// place the clock exactly there.
     fn drive_to(&mut self, cycle: u64) {
-        loop {
-            self.pump();
-            match self.next_time() {
-                Some(tn) if tn <= cycle => self.set_clock(tn),
-                _ => break,
-            }
+        settle(self);
+        while let Some(tn) = self.next_time().filter(|&tn| tn <= cycle) {
+            pump_at(self, tn);
         }
         if cycle > self.clock() {
             self.set_clock(cycle);
+            *self.settled() = false;
             self.on_clock_jump();
         }
     }
@@ -269,7 +293,7 @@ pub trait EventLoopCore {
     /// made.
     fn drive_step(&mut self) -> bool {
         let was_blocked = self.ingest_blocked();
-        self.pump();
+        settle(self);
         if !self.ingest_blocked() {
             // Settling current-time work is progress in itself when it
             // unblocked ingestion (a completion at the current cycle can
@@ -279,8 +303,7 @@ pub trait EventLoopCore {
         }
         match self.next_time() {
             Some(tn) => {
-                self.set_clock(tn);
-                self.pump();
+                pump_at(self, tn);
                 true
             }
             None => false,
@@ -289,14 +312,26 @@ pub trait EventLoopCore {
 
     /// The `finish` drive: run every remaining event to quiescence.
     fn drive_finish(&mut self) {
-        loop {
-            self.pump();
-            match self.next_time() {
-                Some(tn) => self.set_clock(tn),
-                None => break,
-            }
+        settle(self);
+        while let Some(tn) = self.next_time() {
+            pump_at(self, tn);
         }
     }
+}
+
+/// Pumps at the current time unless the session is settled.
+fn settle<E: EventLoopCore + ?Sized>(e: &mut E) {
+    if !*e.settled() {
+        e.pump();
+        *e.settled() = true;
+    }
+}
+
+/// Moves the clock to `t` and pumps there.
+fn pump_at<E: EventLoopCore + ?Sized>(e: &mut E, t: u64) {
+    e.set_clock(t);
+    e.pump();
+    *e.settled() = true;
 }
 
 /// The feed loop could not make progress: a submission stayed

@@ -310,6 +310,29 @@ fn oversized_worker_count_is_rejected_not_fatal() {
     assert_eq!(h.handle_line(&open.to_line()), "{\"ok\":true}");
 }
 
+/// An `open` whose spec asks for a zero engine window is an error
+/// response and registers nothing. Such a tenant could never admit a
+/// task: it used to open, answer every submit with "backpressured" and
+/// keep its slot.
+#[test]
+fn zero_window_open_is_rejected_and_registers_no_tenant() {
+    let mut h = ServeHandle::new(ServeConfig::default()).unwrap();
+    for backend in BackendSpec::ALL {
+        let mut spec = TenantSpec::new(backend, 2);
+        spec.window = Some(0);
+        let line = Request::Open {
+            tenant: "z".into(),
+            spec,
+        }
+        .to_line();
+        assert!(line.contains("\"window\":0"), "{line}");
+        let resp = h.handle_line(&line);
+        assert!(resp.starts_with("{\"ok\":false,"), "{backend}: {resp}");
+        assert!(resp.contains("window"), "{backend}: {resp}");
+        assert_eq!(h.service().len(), 0, "{backend}: the registry is unchanged");
+    }
+}
+
 /// `drain-events` on a span-traced tenant streams lifecycle events in
 /// the `SpanLog::to_json` element shape, and the started/finished stamps
 /// it returns are exactly the schedule the tenant reports at close.

@@ -109,6 +109,23 @@ fn tiny_tm_capacity_backpressures_but_never_drops() {
 }
 
 #[test]
+fn a_zero_window_is_rejected_when_the_session_opens() {
+    // A window of zero could never admit a task: the session would answer
+    // every submit with backpressure forever. Every family refuses it at
+    // open, with a message naming the window.
+    for spec in BackendSpec::ALL
+        .into_iter()
+        .chain([BackendSpec::Cluster(4)])
+    {
+        let backend = spec.build(4, &PicosConfig::balanced());
+        let Err(err) = backend.open_with(SessionConfig::windowed(0)) else {
+            panic!("{spec:?}: a zero window opened");
+        };
+        assert!(err.to_string().contains("window"), "{spec:?}: {err}");
+    }
+}
+
+#[test]
 fn window_one_serializes_admission() {
     // The tightest window: at most one task in flight; the session
     // degenerates to closed-loop submit-wait-complete.
