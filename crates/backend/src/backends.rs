@@ -387,7 +387,6 @@ impl BackendSpec {
             picos: None,
             link: None,
             policy: None,
-            threads: None,
             faults: None,
         }
     }
@@ -417,7 +416,6 @@ pub struct BackendBuilder {
     picos: Option<PicosConfig>,
     link: Option<LinkModel>,
     policy: Option<ShardPolicy>,
-    threads: Option<usize>,
     faults: Option<FaultPlan>,
 }
 
@@ -443,18 +441,17 @@ impl BackendBuilder {
         self
     }
 
-    /// Sets the cluster family's simulation thread count (`None` or `1`
-    /// keeps the serial reference engine; values above one drive the
-    /// shards with the conservative-parallel epoch engine, bit-identical
-    /// to serial). Rejected at construction if it exceeds the shard count.
-    pub fn threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads;
+    /// Formerly the cluster family's simulation thread count. The cluster
+    /// now runs on one thread and picks its own drive, so the argument is
+    /// ignored.
+    #[deprecated(note = "the cluster runs on one thread; the argument is ignored")]
+    pub fn threads(self, _threads: Option<usize>) -> Self {
         self
     }
 
     /// Attaches a deterministic fault schedule (cluster family; the other
     /// families have no interconnect to fault and ignore it, like the
-    /// link/policy/threads knobs). A zero-fault plan is bit-identical to
+    /// link/policy knobs). A zero-fault plan is bit-identical to
     /// `None`; an invalid plan surfaces as a configuration error when the
     /// session opens.
     pub fn faults(mut self, faults: Option<FaultPlan>) -> Self {
@@ -487,9 +484,6 @@ impl BackendBuilder {
                 }
                 if let Some(policy) = self.policy {
                     cfg.policy = policy;
-                }
-                if let Some(threads) = self.threads {
-                    cfg.threads = threads;
                 }
                 cfg.faults = self.faults;
                 Box::new(ClusterBackend { cfg })
@@ -629,44 +623,6 @@ mod tests {
             .builder(4)
             .link(Some(slow))
             .policy(Some(ShardPolicy::RoundRobin))
-            .build()
-            .run(&tr)
-            .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn builder_threads_knob_is_bit_identical_and_validated() {
-        let tr = gen::stream(gen::StreamConfig::heavy(400));
-        let serial = BackendSpec::Cluster(4)
-            .builder(8)
-            .build()
-            .run_with_stats(&tr)
-            .unwrap();
-        let parallel = BackendSpec::Cluster(4)
-            .builder(8)
-            .threads(Some(4))
-            .build()
-            .run_with_stats(&tr)
-            .unwrap();
-        assert_eq!(serial, parallel);
-        // threads > shards is a configuration error, surfaced at open.
-        let err = BackendSpec::Cluster(2)
-            .builder(8)
-            .threads(Some(3))
-            .build()
-            .run(&tr)
-            .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("3 simulation threads exceed 2 shards"),
-            "unhelpful error: {err}"
-        );
-        // Non-cluster families ignore the knob.
-        let a = BackendSpec::Perfect.builder(4).build().run(&tr).unwrap();
-        let b = BackendSpec::Perfect
-            .builder(4)
-            .threads(Some(64))
             .build()
             .run(&tr)
             .unwrap();

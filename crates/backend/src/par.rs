@@ -11,8 +11,7 @@
 //! [`DisjointSlice`] (see `picos_runtime::par`), not `Mutex<Option<R>>`:
 //! the cursor already guarantees each index is claimed by exactly one
 //! thread, so the per-item lock/unlock round trip was pure churn on
-//! sweeps with many tiny cells. The same primitive backs the cluster's
-//! epoch-parallel shard lanes.
+//! sweeps with many tiny cells.
 
 use picos_runtime::par::DisjointSlice;
 use std::sync::atomic::{AtomicUsize, Ordering};

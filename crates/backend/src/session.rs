@@ -40,7 +40,7 @@ pub struct SessionOutput {
     pub timeline: Option<Timeline>,
     /// Task-lifecycle span events, when the session was opened with
     /// [`SessionConfig::trace_spans`]. Recording order (merged across
-    /// engine layers and simulation lanes): the analysis entry points —
+    /// engine layers and cluster shards): the analysis entry points —
     /// the critical-path walker, the Perfetto exporter — are
     /// order-insensitive, so the finish path does not pay for a sort;
     /// call [`SpanLog::canonical_sort`] before comparing logs

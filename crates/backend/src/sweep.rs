@@ -78,11 +78,6 @@ pub struct SweepCell {
     /// Shard count of the cell's backend (1 for every single-accelerator
     /// family).
     pub shards: usize,
-    /// Simulation threads driving the cell's cluster engine (1 — the
-    /// serial reference engine — for every non-cluster cell and by
-    /// default; [`Sweep::cluster_threads`] raises it, capped at the
-    /// cell's shard count).
-    pub threads: usize,
     /// Deterministic fault schedule of the cell ([`Sweep::faults`] axis;
     /// cluster cells only — the other families have no interconnect to
     /// fault, so the axis collapses to its first entry for them).
@@ -116,9 +111,6 @@ impl fmt::Display for SweepCell {
         if self.shards > 1 {
             write!(f, " s{}", self.shards)?;
         }
-        if self.threads > 1 {
-            write!(f, " t{}", self.threads)?;
-        }
         if let Some(plan) = &self.fault {
             write!(f, " fault#{}", plan.seed)?;
         }
@@ -144,10 +136,6 @@ pub struct SweepRow {
     /// Shard count of the cell (1 for single-accelerator backends, so old
     /// and new result files stay comparable).
     pub shards: usize,
-    /// Simulation threads that drove the cell's cluster engine (1 means
-    /// the serial reference engine; parallel cells are bit-identical to
-    /// it, so this column never changes results — only wall-clock).
-    pub threads: usize,
     /// Total simulated time (0 when the cell errored).
     pub makespan: u64,
     /// Sequential execution time of the workload.
@@ -227,14 +215,14 @@ impl SweepResult {
     /// Renders the result as CSV (stable column set, one row per cell).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "workload,block_size,backend,workers,dm,instances,shards,threads,makespan,\
+            "workload,block_size,backend,workers,dm,instances,shards,makespan,\
              sequential,speedup,dm_conflicts,vm_stalls,tm_stalls,drop_rate,link_drops,\
              link_retries,critical_path,error\n",
         );
         let opt = |v: &Option<u64>| v.map_or(String::new(), |v| v.to_string());
         for r in &self.rows {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{:.4},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{:.4},{},{},{},{},{},{},{},{}\n",
                 csv_field(&r.workload),
                 r.block_size.map_or(String::new(), |v| v.to_string()),
                 r.backend,
@@ -242,7 +230,6 @@ impl SweepResult {
                 r.dm.name().replace(' ', "-"),
                 r.instances,
                 r.shards,
-                r.threads,
                 r.makespan,
                 r.sequential,
                 r.speedup,
@@ -270,7 +257,7 @@ impl SweepResult {
             out.push_str(&format!(
                 "{{\"workload\":\"{}\",\"block_size\":{},\"backend\":\"{}\",\
                  \"workers\":{},\"dm\":\"{}\",\"instances\":{},\"shards\":{},\
-                 \"threads\":{},\"makespan\":{},\
+                 \"makespan\":{},\
                  \"sequential\":{},\"speedup\":{:.6},\"dm_conflicts\":{},\
                  \"vm_stalls\":{},\"tm_stalls\":{},\"drop_rate\":{},\
                  \"link_drops\":{},\"link_retries\":{},\"critical_path\":{},\
@@ -282,7 +269,6 @@ impl SweepResult {
                 r.dm.name(),
                 r.instances,
                 r.shards,
-                r.threads,
                 r.makespan,
                 r.sequential,
                 r.speedup,
@@ -310,13 +296,13 @@ impl SweepResult {
     /// the shape utilization-vs-time plots consume directly.
     pub fn timelines_csv(&self) -> String {
         let mut out = String::from(
-            "workload,block_size,backend,workers,dm,instances,shards,threads,\
+            "workload,block_size,backend,workers,dm,instances,shards,\
              window_start,window_end,series,value\n",
         );
         for r in &self.rows {
             let Some(tl) = &r.timeline else { continue };
             let prefix = format!(
-                "{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{}",
                 csv_field(&r.workload),
                 r.block_size.map_or(String::new(), |v| v.to_string()),
                 r.backend,
@@ -324,7 +310,6 @@ impl SweepResult {
                 r.dm.name().replace(' ', "-"),
                 r.instances,
                 r.shards,
-                r.threads,
             );
             for i in 0..tl.len() {
                 let (start, end, values) = tl.sample(i);
@@ -390,7 +375,6 @@ pub struct Sweep {
     timeline: Option<u64>,
     critical_path: bool,
     threads: Option<usize>,
-    cluster_threads: usize,
     faults: Vec<Option<FaultPlan>>,
     filter: Option<CellFilter>,
     fail_fast: bool,
@@ -410,7 +394,6 @@ impl Sweep {
             timeline: None,
             critical_path: false,
             threads: None,
-            cluster_threads: 1,
             faults: vec![None],
             filter: None,
             fail_fast: false,
@@ -501,19 +484,6 @@ impl Sweep {
         self.threads(1)
     }
 
-    /// Sets the simulation thread count of every cluster cell's epoch
-    /// engine (distinct from [`Sweep::threads`], which parallelises over
-    /// cells). Capped per cell at the backend's shard count — a
-    /// two-shard cluster in a `cluster_threads(8)` sweep runs with two
-    /// threads, never an error. Non-cluster cells always run serial.
-    /// Defaults to 1, the serial reference engine, so existing golden
-    /// result files are unaffected; the parallel engine is bit-identical,
-    /// so raising it changes only wall-clock time.
-    pub fn cluster_threads(mut self, threads: usize) -> Self {
-        self.cluster_threads = threads.max(1);
-        self
-    }
-
     /// Sets the fault-schedule axis: each entry runs every cluster cell
     /// once under that plan (`None` = the fault-free engine). Only cluster
     /// cells expand this axis — the other families have no interconnect to
@@ -584,9 +554,6 @@ impl Sweep {
                                     dm,
                                     instances,
                                     shards: backend.shards(),
-                                    // Per-cell cap: a grid mixing shard
-                                    // counts keeps every cell valid.
-                                    threads: self.cluster_threads.min(backend.shards()).max(1),
                                     fault: fault.clone(),
                                 };
                                 if self.filter.as_ref().is_none_or(|keep| keep(&cell)) {
@@ -644,7 +611,6 @@ fn skipped_row(cell: &SweepCell) -> SweepRow {
         dm: cell.dm,
         instances: cell.instances,
         shards: cell.shards,
-        threads: cell.threads,
         makespan: 0,
         sequential: 0,
         speedup: 0.0,
@@ -683,7 +649,6 @@ fn run_cell(
         .builder(cell.workers)
         .picos(&cell.picos_config(ts_policy))
         .link(Some(link))
-        .threads(Some(cell.threads))
         .faults(cell.fault.clone())
         .build();
     let cfg = SessionConfig {
@@ -871,9 +836,7 @@ mod tests {
         let shards: Vec<usize> = result.rows().iter().map(|r| r.shards).collect();
         assert_eq!(shards, vec![1, 1, 2]);
         let csv = result.to_csv();
-        assert!(csv.starts_with(
-            "workload,block_size,backend,workers,dm,instances,shards,threads,makespan"
-        ));
+        assert!(csv.starts_with("workload,block_size,backend,workers,dm,instances,shards,makespan"));
         assert!(result.to_json().contains("\"shards\":2"));
         // The one-shard cluster cell must agree with the raw HW model.
         let hw = Sweep::over_apps([App::Cholesky], [256])
@@ -917,37 +880,6 @@ mod tests {
         assert!(attributed.to_json().contains("\"critical_path\":\""));
         // Determinism: rerunning the attributed grid reproduces it.
         assert_eq!(attributed, grid().critical_path().run());
-    }
-
-    #[test]
-    fn cluster_threads_cap_at_shards_and_change_nothing_but_wall_clock() {
-        let grid = |ct: usize| {
-            Sweep::over_apps([App::SparseLu], [128])
-                .workers([8])
-                .backends([
-                    BackendSpec::Perfect,
-                    BackendSpec::Cluster(2),
-                    BackendSpec::Cluster(4),
-                ])
-                .cluster_threads(ct)
-                .run()
-        };
-        let serial = grid(1);
-        let parallel = grid(8);
-        // Per-cell cap: non-cluster cells stay serial, cluster cells get
-        // min(requested, shards) — never a validation error.
-        assert_eq!(parallel.first_error(), None);
-        let threads: Vec<usize> = parallel.rows().iter().map(|r| r.threads).collect();
-        assert_eq!(threads, vec![1, 2, 4]);
-        assert!(parallel.to_csv().lines().nth(3).unwrap().contains(",4,"));
-        assert!(parallel.to_json().contains("\"threads\":4"));
-        // The parallel engine is bit-identical, so the measured outcome
-        // of every cell matches the serial reference exactly.
-        for (s, p) in serial.rows().iter().zip(parallel.rows()) {
-            assert_eq!(s.makespan, p.makespan, "cell {}", p.workload);
-            assert_eq!(s.speedup, p.speedup);
-            assert_eq!(s.dm_conflicts, p.dm_conflicts);
-        }
     }
 
     #[test]

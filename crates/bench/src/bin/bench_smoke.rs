@@ -8,8 +8,9 @@
 //! - (a) the batch `ExecBackend::run` path vs the raw engine;
 //! - (b) a coarse-window telemetry timeline attached vs not;
 //! - (c) the span recorder attached vs not;
-//! - (d) the parallel 4-shard cluster engine vs the serial one;
-//! - (e) a zero-fault `FaultPlan` attached vs no plan;
+//! - (d) the 4-shard cluster's epoch drain vs its serial pump drain;
+//! - (e) a zero-fault `FaultPlan` attached vs no plan, both drained by
+//!   the epoch loop;
 //! - (f) 256 tenants multiplexed behind one `Service` vs the same sessions
 //!   run solo.
 //!
@@ -22,8 +23,10 @@
 //!
 //! Knob: `BENCH_SMOKE_MS` — per-measurement sampling window (default 300).
 
-use picos_backend::{feed_trace, BackendSpec, ExecBackend, FaultPlan, SessionConfig, Snapshot};
+use picos_backend::{feed_trace, BackendSpec, FaultPlan, SessionConfig, Snapshot};
+use picos_cluster::{ClusterConfig, ClusterSession};
 use picos_core::{FinishedReq, PicosConfig, PicosSystem};
+use picos_runtime::session::EventLoopCore;
 use picos_serve::{ServeConfig, Service, SubmitOutcome, TenantSpec};
 use picos_trace::gen;
 use std::time::{Duration, Instant};
@@ -159,55 +162,54 @@ fn main() {
     });
     drop(mid);
 
-    // Serial vs parallel cluster engine at 4 shards on the open-loop
-    // stream workload. The parallel engine is bit-identical to serial, so
-    // this measures pure wall-clock: the epoch engine's O(events)
-    // processing against the serial driver's O(shards)-per-event pump
-    // scans, plus real threads when the host has cores to give (the
-    // thread count clamps to available parallelism, so single-core CI
-    // runners measure the inline epoch engine).
-    // A third side measures the fault layer's zero-fault overhead: a
-    // cluster with an attached all-zero-rates FaultPlan runs the exact
-    // same schedule bit-identically (pinned below), so the delta vs the
-    // plain serial engine is the pure cost of the packet wrapper and the
-    // per-pump fault-phase checks.
+    // The 4-shard cluster on the open-loop stream workload, three ways:
+    // the default finish, which drains through the epoch loop; the serial
+    // pump run to quiescence (`drive_finish`) before the same finish; and
+    // the default finish with an attached zero-fault FaultPlan. All three
+    // run the exact same schedule (pinned below), so (d) measures the
+    // epoch loop's O(events) drain against the serial pump's
+    // O(shards)-per-event scans, and (e) checks that attaching a plan that
+    // can inject nothing stays free against the plain default run.
     let stream4 = gen::stream(gen::StreamConfig::heavy(800));
-    let cluster_at = |threads: usize, faults: Option<FaultPlan>| {
-        BackendSpec::Cluster(4)
-            .builder(8)
-            .picos(&PicosConfig::balanced())
-            .threads(Some(threads))
-            .faults(faults)
-            .build()
+    let cluster_run = |faults: Option<FaultPlan>, serial: bool| {
+        let cfg = ClusterConfig {
+            faults,
+            ..ClusterConfig::balanced(4, 8)
+        };
+        let mut s = ClusterSession::new(cfg, SessionConfig::batch()).expect("cluster opens");
+        feed_trace(&mut s, &stream4).expect("unbounded window cannot stall");
+        if serial {
+            s.drive_finish();
+        }
+        s.into_report().expect("cluster run completes").0
     };
-    let serial4 = cluster_at(1, None);
-    let par4 = cluster_at(4, None);
-    let fault0 = cluster_at(1, Some(FaultPlan::new(1)));
-    let serial_makespan = serial4.run(&stream4).expect("serial cluster completes");
-    let par_makespan = par4.run(&stream4).expect("parallel cluster completes");
-    let fault0_makespan = fault0.run(&stream4).expect("zero-fault cluster completes");
+    let epoch_report = cluster_run(None, false);
     assert_eq!(
-        serial_makespan, par_makespan,
-        "parallel cluster engine must be bit-identical to serial"
+        epoch_report,
+        cluster_run(None, true),
+        "the epoch drain must be bit-identical to the serial pump"
     );
     assert_eq!(
-        serial_makespan, fault0_makespan,
+        epoch_report,
+        cluster_run(Some(FaultPlan::new(1)), false),
         "zero-fault plan must be bit-identical to no plan"
     );
     // Median-of-iterations per side: the 3% fault-overhead guard is
     // tighter than host noise on a mean, but the interleaved medians are
-    // stable. fault0 runs adjacent to serial4 (its comparison side), so
-    // the multi-threaded par4 run's thermal wake biases neither.
-    let cluster_run = |backend: &dyn ExecBackend| {
-        std::hint::black_box(backend.run(&stream4).expect("cluster run completes"));
-    };
-    let [cluster_serial4_cells_per_sec, cluster_fault0_cells_per_sec, cluster_par_cells_per_sec] =
+    // stable. fault0 runs adjacent to epoch4, its comparison side.
+    let [cluster_serial4_cells_per_sec, cluster_epoch4_cells_per_sec, cluster_fault0_cells_per_sec] =
         interleave(
             window * 3,
             [
-                &|| cluster_run(&*serial4),
-                &|| cluster_run(&*fault0),
-                &|| cluster_run(&*par4),
+                &|| {
+                    std::hint::black_box(cluster_run(None, true));
+                },
+                &|| {
+                    std::hint::black_box(cluster_run(None, false));
+                },
+                &|| {
+                    std::hint::black_box(cluster_run(Some(FaultPlan::new(1)), false));
+                },
             ],
         )
         .map(|v| 1.0 / median(v));
@@ -272,7 +274,7 @@ fn main() {
          \"batch_tasks_per_sec\": {:.0},\n  \
          \"snapshot_roundtrip_per_sec\": {:.1},\n  \
          \"cluster_serial4_cells_per_sec\": {:.1},\n  \
-         \"cluster_par_cells_per_sec\": {:.1},\n  \
+         \"cluster_epoch4_cells_per_sec\": {:.1},\n  \
          \"cluster_fault0_cells_per_sec\": {:.1},\n  \
          \"serve_tenants\": {},\n  \
          \"serve_sessions_per_sec\": {:.1},\n  \
@@ -286,7 +288,7 @@ fn main() {
         batch_tasks_per_sec,
         snapshot_roundtrip_per_sec,
         cluster_serial4_cells_per_sec,
-        cluster_par_cells_per_sec,
+        cluster_epoch4_cells_per_sec,
         cluster_fault0_cells_per_sec,
         serve_tenants,
         serve_sessions_per_sec,
@@ -326,20 +328,21 @@ fn main() {
             spans_off_tasks_per_sec,
             0.9,
         ),
-        // (d) Never slower than the serial reference, with a 5% noise
-        // allowance (measured >= 1.7x faster even single-core).
+        // (d) The epoch drain `finish` picks must never be slower than
+        // the serial pump it replaces, with a 5% noise allowance.
         (
-            "(d) parallel vs serial 4-shard cluster",
-            cluster_par_cells_per_sec,
+            "(d) epoch drain vs serial drain, 4-shard cluster",
+            cluster_epoch4_cells_per_sec,
             cluster_serial4_cells_per_sec,
             0.95,
         ),
         // (e) The fault layer's contract: one u32 + bool per message and
         // constant-time empty-queue checks; no RNG draws at zero rates.
+        // The reference is the plain default run, not the serial drain.
         (
             "(e) zero-fault plan vs no plan",
             cluster_fault0_cells_per_sec,
-            cluster_serial4_cells_per_sec,
+            cluster_epoch4_cells_per_sec,
             0.97,
         ),
         // (f) The serve layer's contract: registry lookup + admission

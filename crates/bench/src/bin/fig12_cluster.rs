@@ -46,11 +46,6 @@ fn main() {
             .workers(WORKERS)
             .backends(SHARDS.map(BackendSpec::Cluster))
             .interconnect(link)
-            // The parallel engine is bit-identical to serial, so running
-            // every cell on as many simulation threads as its shard count
-            // allows changes nothing in the emitted files — only how long
-            // the figure takes to produce.
-            .cluster_threads(SHARDS[SHARDS.len() - 1])
             .run();
         if let Some(e) = result.first_error() {
             panic!("cluster sweep cell failed at latency {lat}: {e}");

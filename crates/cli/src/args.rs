@@ -18,6 +18,37 @@ pub struct Args {
 /// value (they parse as `"true"`).
 const FLAGS: &[&str] = &["critical-path", "help"];
 
+/// The options each subcommand reads, space-separated. Any other option
+/// is an error, so a misspelt or retired option cannot silently fall back
+/// to a default; `--help` is accepted by every command.
+const OPTIONS: &[(&str, &str)] = &[
+    ("gen", "block out"),
+    ("stats", "block"),
+    (
+        "run",
+        "block engine backend workers dm ts instances shards policy link-latency \
+         link-occupancy link-width fault-seed drop-rate link-timeout paced window \
+         timeline metrics-json metrics-csv trace-out critical-path",
+    ),
+    (
+        "sweep",
+        "block engine backend dm ts instances shards link-latency link-occupancy \
+         link-width threads out timeline critical-path",
+    ),
+    (
+        "whatif",
+        "block axis prefix workers engine backend dm ts instances shards \
+         link-latency link-occupancy link-width",
+    ),
+    (
+        "serve",
+        "addr journal-dir quota step-budget max-tenants scrape-window checkpoint-every",
+    ),
+    ("resources", "dm instances ts"),
+    ("apps", ""),
+    ("engines", ""),
+];
+
 impl Args {
     /// Parses an iterator of arguments (without the program name).
     ///
@@ -48,6 +79,31 @@ impl Args {
             positional,
             options,
         })
+    }
+
+    /// Rejects any option the subcommand does not read, naming the first
+    /// one (in sorted order). Unknown commands are left to the dispatcher.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the unknown option.
+    pub fn check_options(&self) -> Result<(), String> {
+        let Some((_, known)) = OPTIONS.iter().find(|(c, _)| *c == self.command) else {
+            return Ok(());
+        };
+        let mut unknown: Vec<&String> = self
+            .options
+            .keys()
+            .filter(|k| *k != "help" && !known.split_whitespace().any(|o| o == *k))
+            .collect();
+        unknown.sort();
+        match unknown.first() {
+            None => Ok(()),
+            Some(k) => Err(format!(
+                "unknown option --{k} for `picos {}` (see `picos help`)",
+                self.command
+            )),
+        }
     }
 
     /// An option parsed to a type, with a default.
@@ -94,8 +150,6 @@ commands:
        options: --dm <8way|16way|p8way>  --ts <fifo|lifo>  --instances <n>
        cluster: --shards <n>  --policy <addr-hash|round-robin|locality>
                 --link-latency <c> --link-occupancy <c> --link-width <w>
-                --threads <n> parallel simulation threads (bit-identical
-                to serial; needs threads <= shards)
                 (--backend is accepted as an alias for --engine)
        faults:  --fault-seed <s> --drop-rate <p> --link-timeout <cycles>
                 deterministic link-fault injection on the cluster
@@ -117,9 +171,6 @@ commands:
   sweep <workload> --engine <e,e,...|all>       speedup vs workers (2..24),
        [--threads <n>] [--out results.csv]      cells run in parallel
        [--shards <n>] [--link-latency <c>]      (cluster cells)
-       [--cluster-threads <n>]                  parallel cluster engine,
-                                                capped at each cell's
-                                                shard count
        [--timeline <w>]                         per-cell telemetry; with
                                                 --out also writes
                                                 <out>.timeline.csv
@@ -249,6 +300,50 @@ mod tests {
         // than die with "option --help needs a value".
         let a = parse(&["serve", "--help"]).unwrap();
         assert!(a.options.contains_key("help"));
+    }
+
+    #[test]
+    fn option_check_names_the_option_and_spares_help() {
+        let err = parse(&["stats", "heat", "--workers", "8"])
+            .unwrap()
+            .check_options()
+            .unwrap_err();
+        assert!(
+            err.contains("--workers") && err.contains("picos stats"),
+            "{err}"
+        );
+        // --help is global; unknown commands are the dispatcher's call.
+        assert!(parse(&["serve", "--help"]).unwrap().check_options().is_ok());
+        let bogus = parse(&["bogus", "--x", "1"]).unwrap();
+        assert!(bogus.check_options().is_ok());
+    }
+
+    #[test]
+    fn every_option_in_usage_is_accepted_by_its_command() {
+        let u = usage();
+        let mut command = String::new();
+        let mut seen = 0;
+        for line in u.lines().skip_while(|l| *l != "commands:").skip(1) {
+            // A command line is indented by two spaces; deeper lines
+            // continue the command above.
+            if !line.starts_with("   ") {
+                command = line.split_whitespace().next().unwrap_or("").to_string();
+            }
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                let Some(key) = word.strip_prefix("--").filter(|k| !k.is_empty()) else {
+                    continue;
+                };
+                let mut argv = vec![command.clone(), format!("--{key}")];
+                if !FLAGS.contains(&key) {
+                    argv.push("1".into());
+                }
+                let a = Args::parse(argv.into_iter()).unwrap();
+                a.check_options()
+                    .unwrap_or_else(|e| panic!("usage lists --{key} under {command}: {e}"));
+                seen += 1;
+            }
+        }
+        assert!(seen > 40, "usage parse found only {seen} options");
     }
 
     #[test]

@@ -38,6 +38,7 @@ fn dispatch(a: &Args) -> Result<(), String> {
         println!("{}", usage());
         return Ok(());
     }
+    a.check_options()?;
     match a.command.as_str() {
         "gen" => cmd_gen(a),
         "stats" => cmd_stats(a),
@@ -70,6 +71,7 @@ fn dispatch(a: &Args) -> Result<(), String> {
 
 fn generate(name: &str, block: u64) -> Result<Trace, String> {
     if let Some(app) = gen::App::ALL.into_iter().find(|x| x.name() == name) {
+        app.check_block(block)?;
         return Ok(app.generate(block));
     }
     if let Some(case) = gen::Case::ALL
@@ -233,16 +235,10 @@ fn build_backend(a: &Args) -> Result<Box<dyn ExecBackend>, String> {
     let engine = engine_name(a)?;
     let workers = a.opt("workers", 12usize)?;
     let shards = a.opt("shards", 1usize)?;
-    let threads = a.opt("threads", 1usize)?;
     let spec = BackendSpec::parse(&engine)
         .ok_or_else(|| format!("unknown engine {engine}\n{}", usage()))?;
     if shards > 1 && !matches!(spec, BackendSpec::Cluster(_)) {
         return Err("--shards only applies to the cluster backend".into());
-    }
-    if threads > 1 && !matches!(spec, BackendSpec::Cluster(_)) {
-        return Err("--threads only applies to the cluster backend \
-                    (other engines have no parallel simulation engine)"
-            .into());
     }
     let faults = fault_plan(a)?;
     if faults.is_some() && !matches!(spec, BackendSpec::Cluster(_)) {
@@ -265,7 +261,6 @@ fn build_backend(a: &Args) -> Result<Box<dyn ExecBackend>, String> {
         .picos(&picos_config(a)?)
         .link(Some(link_model(a)?))
         .policy(policy)
-        .threads(Some(threads))
         .faults(faults)
         .build())
 }
@@ -375,7 +370,7 @@ fn emit_spans(
 ) -> Result<(), String> {
     let Some(log) = spans else { return Ok(()) };
     // Sessions return spans in recording order; sort here so the
-    // exported trace is deterministic across thread counts.
+    // exported trace does not depend on which drive recorded it.
     log.canonical_sort();
     let g = TaskGraph::build(trace);
     if a.options.contains_key("critical-path") {
@@ -509,9 +504,6 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
         .filter(|c| c.workers >= c.shards);
     if let Some(threads) = a.options.get("threads") {
         sweep = sweep.threads(threads.parse().map_err(|_| "invalid --threads")?);
-    }
-    if let Some(ct) = a.options.get("cluster-threads") {
-        sweep = sweep.cluster_threads(ct.parse().map_err(|_| "invalid --cluster-threads")?);
     }
     if let Some(w) = opt_u64(a, "timeline")? {
         sweep = sweep.timeline(w);

@@ -96,16 +96,10 @@ pub struct ClusterConfig {
     /// platform's HW-only dispatch so a one-shard cluster is
     /// cycle-identical to `HilMode::HwOnly`.
     pub dispatch: u64,
-    /// Simulation threads for the conservative-parallel event engine
-    /// (default `1` = the serial reference engine). Values above one run
-    /// shard lanes on scoped OS threads, bit-identical to serial; at most
-    /// one thread per shard is ever useful, so `threads > shards` is
-    /// rejected by [`ClusterConfig::validate`].
-    pub threads: usize,
     /// Deterministic fault schedule, or `None` for the fault-free engine.
     /// Attaching a plan arms the interconnect's ack/timeout/retry protocol
-    /// and (for inherently global fault bookkeeping) runs the serial
-    /// reference engine regardless of `threads`. A zero-fault plan is
+    /// and (for inherently global fault bookkeeping) drains through the
+    /// serial pump instead of the epoch loop. A zero-fault plan is
     /// bit-identical to `None`.
     pub faults: Option<FaultPlan>,
 }
@@ -121,16 +115,8 @@ impl ClusterConfig {
             workers,
             link: LinkModel::interconnect(),
             dispatch: HilCostModel::default().dispatch,
-            threads: 1,
             faults: None,
         }
-    }
-
-    /// The same cluster simulated by `threads` OS threads (see
-    /// [`ClusterConfig::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// The same cluster under a deterministic fault schedule (see
@@ -153,8 +139,7 @@ impl ClusterConfig {
     ///
     /// Returns a message describing the first violated constraint: at
     /// least one shard, at most 4096 (result files use small ids), at
-    /// least one worker per shard, at least one and at most one simulation
-    /// thread per shard, and a valid per-shard core config.
+    /// least one worker per shard, and a valid per-shard core config.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
             return Err("cluster needs at least one shard".into());
@@ -167,17 +152,6 @@ impl ClusterConfig {
                 "{} workers cannot cover {} shards (each shard executes \
                  its placed tasks and needs at least one worker)",
                 self.workers, self.shards
-            ));
-        }
-        if self.threads == 0 {
-            return Err("cluster needs at least one simulation thread".into());
-        }
-        if self.threads > self.shards {
-            return Err(format!(
-                "{} simulation threads exceed {} shards (each thread drives \
-                 whole shard lanes, so extra threads could never be used; \
-                 pass threads <= shards)",
-                self.threads, self.shards
             ));
         }
         if let Some(plan) = &self.faults {
@@ -214,12 +188,6 @@ pub enum ClusterError {
         /// Resends attempted before giving up.
         attempts: u32,
     },
-    /// A parallel-engine shard lane panicked; the panic was caught and the
-    /// session is dead (no further progress is possible).
-    LanePanic {
-        /// The panic payload, when it carried a message.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -244,9 +212,6 @@ impl fmt::Display for ClusterError {
                 "interconnect message {from}->{to} lost after {attempts} \
                  retries (gave up at cycle {at})"
             ),
-            ClusterError::LanePanic { detail } => {
-                write!(f, "parallel engine lane panicked: {detail}")
-            }
         }
     }
 }
@@ -306,26 +271,6 @@ mod tests {
         let mut cfg = ClusterConfig::balanced(2, 4);
         cfg.picos.tm_entries = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validation_bounds_simulation_threads() {
-        assert!(ClusterConfig::balanced(4, 8)
-            .with_threads(4)
-            .validate()
-            .is_ok());
-        assert!(ClusterConfig::balanced(4, 8)
-            .with_threads(0)
-            .validate()
-            .is_err());
-        let err = ClusterConfig::balanced(4, 8)
-            .with_threads(5)
-            .validate()
-            .unwrap_err();
-        assert!(
-            err.contains("5 simulation threads exceed 4 shards"),
-            "unhelpful error: {err}"
-        );
     }
 
     #[test]

@@ -30,12 +30,28 @@
 //!
 //! With one shard, steps 2 and 4's remote halves never fire and the loop
 //! is statement-for-statement the HW-only driver: cycle-identical.
+//!
+//! # Drives
+//!
+//! The protocol is written once, as per-shard phase methods that take the
+//! event time as an argument: worker completions, deliveries, ingress and
+//! execution. Two drives call them, on one thread:
+//!
+//! * the serial pump ([`EventLoopCore::pump`]) runs each phase over every
+//!   shard at the current time, with the fault layer and the Distributor
+//!   around them, and sends straight onto the links. `advance_to`, `step`
+//!   and every faulted, one-shard or zero-lookahead session use it;
+//! * the epoch loop (`epoch.rs`) runs all of one shard's phases at each of
+//!   its own event times, shard after shard, and replays the buffered
+//!   sends in serial order at each epoch end. `finish` drains through it
+//!   whenever it is sound, with results identical to the serial pump.
 
-mod par_drive;
+mod epoch;
 mod snap;
 
 use crate::config::{home_shard, ClusterConfig, ClusterError, ShardPolicy};
 use crate::fault::{FaultCounters, FaultPlan, FaultState, Packet};
+use epoch::{Epoch, Phase};
 use picos_core::{FinishedReq, PicosSystem, SlotRef, Stats};
 use picos_hil::Link;
 use picos_metrics::span::{SpanEvent, SpanKind, SpanLog};
@@ -87,6 +103,25 @@ pub type ClusterOutput = (
     Option<SpanLog>,
 );
 
+/// One shard's own state: its Picos core, its workers, the ingress reorder
+/// stage in front of its Gateway and its execution queue.
+#[derive(Debug, Clone)]
+struct Shard {
+    sys: PicosSystem,
+    workers: picos_hil::Workers,
+    /// Ingress reorder stage: this shard's fragments in task-creation
+    /// order, each `None` until it arrives. The Gateway takes them from
+    /// the front, so every dependence chain registers in creation order.
+    expected: VecDeque<(u32, Option<Arc<[Dependence]>>)>,
+    /// Remote fragments' TM slots, recorded when they pop ready.
+    slot_at: HashMap<u32, SlotRef>,
+    /// Tasks fully ready (last notice arrived) awaiting a free worker.
+    exec_q: VecDeque<u32>,
+    /// Whether this pump pushed work into the core, which must then catch
+    /// up to the pump's time before execution.
+    touched: bool,
+}
+
 /// A resumable cluster stepper: shards ingest dependence-list fragments as
 /// tasks stream in, with placement and fragment planning performed
 /// per-task at submission (the policies only look at the task itself, so
@@ -103,17 +138,10 @@ pub type ClusterOutput = (
 #[derive(Debug, Clone)]
 pub struct ClusterSession {
     cfg: ClusterConfig,
-    sys: Vec<PicosSystem>,
-    workers: Vec<picos_hil::Workers>,
+    shards: Vec<Shard>,
+    /// Each shard's ingress port of the interconnect (a slice of its own,
+    /// because the fault layer sends and retries across all of them).
     links: Vec<Link<Packet<ClusterMsg>>>,
-    /// Ingress reorder stage: fragments enter each shard's Gateway
-    /// strictly in task-creation order.
-    expected: Vec<VecDeque<u32>>,
-    arrived: Vec<HashMap<u32, Arc<[Dependence]>>>,
-    /// Remote fragments' TM slots, recorded when they pop ready.
-    slot_at: Vec<HashMap<u32, SlotRef>>,
-    /// Tasks fully ready (last notice arrived) awaiting a free worker.
-    exec_q: Vec<VecDeque<u32>>,
     // Per-task plan and readiness state, grown at submission.
     placement: Vec<u16>,
     local: Vec<Arc<[Dependence]>>,
@@ -133,7 +161,6 @@ pub struct ClusterSession {
     /// Distributor cursor: next admitted task to create.
     next_feed: usize,
     t: u64,
-    touched: Vec<bool>,
     ingest: Ingest,
     log: ScheduleLog,
     /// Messages ever sent into each shard's ingress link (cumulative; the
@@ -145,10 +172,10 @@ pub struct ClusterSession {
     sampler: Option<WindowSampler>,
     /// Driver-side lifecycle span recorder (submit, dispatch, start,
     /// finish, interconnect traffic, faults); each shard core's own probe
-    /// rides inside its [`PicosSystem`] and is merged at finish. In
-    /// parallel drives the lanes record into their own logs with the same
-    /// cycle stamps, so the canonically sorted result is thread-count
-    /// independent. Observation-only.
+    /// rides inside its [`PicosSystem`] and is merged at finish. The epoch
+    /// loop records the same events with the same cycle stamps in shard
+    /// order, so the canonically sorted log is drive-independent.
+    /// Observation-only.
     spans: Option<SpanLog>,
     /// The attached fault layer (ack/retry protocol, fault draws, pause
     /// deferral, worker-fault schedule), or `None` for the plain engine.
@@ -156,9 +183,10 @@ pub struct ClusterSession {
     /// Tasks whose first execution a fail-stop worker fault killed; their
     /// restart updates the schedule log instead of appending to it.
     restarts: HashSet<u32>,
-    /// A caught parallel-lane panic: the session is dead and reports this
-    /// instead of driving further.
-    engine_err: Option<ClusterError>,
+    /// The epoch loop's replay buffer while it drains the session, `None`
+    /// under the serial pump. Never serialized: no snapshot can be taken
+    /// inside `finish`.
+    epoch: Option<Epoch>,
     /// The shared drive's settled flag ([`EventLoopCore::settled`]); not
     /// serialized.
     settled: bool,
@@ -174,8 +202,15 @@ impl ClusterSession {
         cfg.validate().map_err(ClusterError::Config)?;
         session.validate().map_err(ClusterError::Config)?;
         let k = cfg.shards;
-        let mut sys: Vec<PicosSystem> = (0..k)
-            .map(|_| PicosSystem::new(cfg.picos.clone()))
+        let mut shards: Vec<Shard> = (0..k)
+            .map(|s| Shard {
+                sys: PicosSystem::new(cfg.picos.clone()),
+                workers: picos_hil::Workers::new(cfg.shard_workers(s)),
+                expected: VecDeque::new(),
+                slot_at: HashMap::new(),
+                exec_q: VecDeque::new(),
+                touched: false,
+            })
             .collect();
         let sampler = session.timeline_window.map(|w| {
             let mut series = vec![SeriesSpec::gauge("workers.busy")];
@@ -195,8 +230,8 @@ impl ClusterSession {
                     series.push(SeriesSpec::delta(name));
                 }
             }
-            for shard in sys.iter_mut() {
-                shard.attach_timeline(w);
+            for shard in shards.iter_mut() {
+                shard.sys.attach_timeline(w);
             }
             WindowSampler::new(w, series)
         });
@@ -210,21 +245,14 @@ impl ClusterSession {
             .filter(FaultPlan::is_active)
             .map(|p| Box::new(FaultState::new(p, k)));
         let spans = session.trace_spans.then(|| {
-            for (s, shard) in sys.iter_mut().enumerate() {
-                shard.attach_spans(s as u16);
+            for (s, shard) in shards.iter_mut().enumerate() {
+                shard.sys.attach_spans(s as u16);
             }
             SpanLog::new()
         });
         Ok(ClusterSession {
-            sys,
-            workers: (0..k)
-                .map(|s| picos_hil::Workers::new(cfg.shard_workers(s)))
-                .collect(),
+            shards,
             links: (0..k).map(|_| Link::new(cfg.link)).collect(),
-            expected: vec![VecDeque::new(); k],
-            arrived: vec![HashMap::new(); k],
-            slot_at: vec![HashMap::new(); k],
-            exec_q: vec![VecDeque::new(); k],
             placement: Vec::new(),
             local: Vec::new(),
             remote: Vec::new(),
@@ -238,7 +266,6 @@ impl ClusterSession {
             empty_deps: Arc::from(Vec::new()),
             next_feed: 0,
             t: 0,
-            touched: vec![false; k],
             ingest: Ingest::new(session.window),
             log: ScheduleLog::default(),
             link_sent: vec![0; k],
@@ -246,7 +273,7 @@ impl ClusterSession {
             spans,
             faults,
             restarts: HashSet::new(),
-            engine_err: None,
+            epoch: None,
             settled: false,
             cfg,
         })
@@ -255,8 +282,8 @@ impl ClusterSession {
     /// Reads the cluster-level probe points (worker occupancy, per-link
     /// interconnect occupancy and traffic) in the sampler's series order.
     fn probe_cluster(&self, out: &mut [u64]) {
-        out[0] = (0..self.cfg.shards)
-            .map(|s| (self.cfg.shard_workers(s) - self.workers[s].idle()) as u64)
+        out[0] = (self.shards.iter().enumerate())
+            .map(|(s, sh)| (self.cfg.shard_workers(s) - sh.workers.idle()) as u64)
             .sum();
         for (s, link) in self.links.iter().enumerate() {
             out[1 + 2 * s] = link.in_flight() as u64;
@@ -341,31 +368,46 @@ impl ClusterSession {
         self.remote.push(rem);
     }
 
+    /// Time of shard `s`'s next own event: a worker completion, a link
+    /// delivery or a core pipeline step.
+    #[inline(always)]
+    fn shard_next_time(&self, s: usize) -> Option<u64> {
+        let sh = &self.shards[s];
+        min_next([
+            sh.sys.next_event_time(),
+            sh.workers.next_done(),
+            self.links[s].next_delivery(),
+        ])
+    }
+
     /// Starts a task on shard `s`'s workers with the HW-only dispatch
     /// cost. Both readiness paths (direct local pop, `exec_q` drain after
     /// the last remote notice) share this helper so they stay identical.
-    fn start_task(&mut self, s: usize, task: u32, slot: SlotRef) {
-        let st = self.t + self.cfg.dispatch;
+    /// The epoch loop defers the schedule-log entry to its replay.
+    fn start_task(&mut self, s: usize, t: u64, task: u32, slot: SlotRef) {
+        let st = t + self.cfg.dispatch;
         let dur = self.durs[task as usize];
-        let end = if self.restarts.remove(&task) {
+        let end = match &mut self.epoch {
+            Some(ep) => ep.start(t, s, task, st, dur),
             // A fail-stop fault killed the first execution; the restart
             // replaces its schedule entry instead of appending a new one.
-            self.log.rebegin(task, st, dur)
-        } else {
-            self.log.begin(task, st, dur)
+            None if self.restarts.remove(&task) => self.log.rebegin(task, st, dur),
+            None => self.log.begin(task, st, dur),
         };
         if let Some(log) = &mut self.spans {
-            log.record(SpanKind::Dispatched, self.t, s as u16, task, 0);
+            log.record(SpanKind::Dispatched, t, s as u16, task, 0);
             log.record(SpanKind::Started, st, s as u16, task, 0);
         }
-        self.workers[s].start(end, task, slot);
+        self.shards[s].workers.start(end, task, slot);
     }
 
-    /// Sends one interconnect message: through the fault layer when one is
+    /// Sends one interconnect message at `t`: into the epoch buffer during
+    /// the epoch loop, otherwise through the fault layer when one is
     /// attached (packet id, fate draws, retry deadline), plain otherwise.
     fn send_msg(
         &mut self,
-        faults: &mut Option<Box<FaultState<ClusterMsg>>>,
+        t: u64,
+        phase: Phase,
         from: usize,
         to: usize,
         msg: ClusterMsg,
@@ -373,48 +415,211 @@ impl ClusterSession {
     ) {
         self.link_sent[to] += 1;
         let task = msg.task();
-        let id = match faults.as_mut() {
-            Some(f) => f.send(self.t, from as u16, to as u16, msg, words, &mut self.links),
-            None => {
-                self.links[to].send_words(self.t, Packet::plain(msg), words);
-                0
-            }
+        let id = if let Some(ep) = &mut self.epoch {
+            ep.send(t, phase, from, to, msg, words);
+            0
+        } else if let Some(f) = &mut self.faults {
+            f.send(t, from as u16, to as u16, msg, words, &mut self.links)
+        } else {
+            self.links[to].send_words(t, Packet::plain(msg), words);
+            0
         };
         if let Some(log) = &mut self.spans {
-            log.record(SpanKind::MsgSend, self.t, from as u16, task, id);
+            log.record(SpanKind::MsgSend, t, from as u16, task, id);
         }
     }
 
-    /// Handles one delivered interconnect message at shard `s` — the
-    /// shared body behind fresh link deliveries and pause-released
-    /// deferrals. `pkt_id` is the delivered wire packet's id (0 for plain
-    /// packets), forwarded to the message's delivery span.
-    fn deliver(&mut self, s: usize, msg: ClusterMsg, pkt_id: u32) {
+    // The phase methods are forced inline: the serial pump calls each once
+    // per shard per step, and out of line they made a paced 4-shard
+    // session about 5% slower.
+
+    /// Worker completions at shard `s`: notify the local shard now, remote
+    /// fragment shards over the interconnect.
+    #[inline(always)]
+    fn complete(&mut self, s: usize, t: u64) {
+        while let Some((task, slot)) = self.shards[s].workers.pop_done_at(t) {
+            let sh = &mut self.shards[s];
+            sh.sys.notify_finished(FinishedReq {
+                task: TaskId::new(task),
+                slot,
+            });
+            sh.touched = true;
+            for ri in 0..self.remote[task as usize].len() {
+                let r = self.remote[task as usize][ri].0 as usize;
+                self.send_msg(t, Phase::Complete, s, r, ClusterMsg::Finish { task }, 1);
+            }
+            self.ingest.finished += 1;
+            if let Some(log) = &mut self.spans {
+                log.record(SpanKind::Finished, t, s as u16, task, 0);
+            }
+        }
+    }
+
+    /// Interconnect deliveries at shard `s`: pause-released deferrals
+    /// first (they arrived earlier), then fresh arrivals, each through the
+    /// fault layer's receive path when one is attached.
+    #[inline(always)]
+    fn receive(&mut self, s: usize, t: u64) {
+        if self.faults.is_some() {
+            while let Some(pkt) = self.faults.as_mut().and_then(|f| f.pop_deferred(s, t)) {
+                self.receive_faulted(s, t, pkt);
+            }
+        }
+        while let Some(pkt) = self.links[s].pop_delivery_at(t) {
+            if self.faults.is_some() {
+                self.receive_faulted(s, t, pkt);
+            } else {
+                self.deliver(s, t, pkt.msg, pkt.id);
+            }
+        }
+    }
+
+    /// Passes one packet delivered at shard `s` through the fault layer
+    /// (ack, dedup, pause deferral, drop fate) and handles what survives.
+    /// Out of line, so the plain delivery loop stays small.
+    #[inline(never)]
+    fn receive_faulted(&mut self, s: usize, t: u64, pkt: Packet<ClusterMsg>) {
+        let id = pkt.id;
+        let f = self.faults.as_mut().expect("fault layer attached");
+        if let Some(msg) = f.receive(s, t, pkt) {
+            self.deliver(s, t, msg, id);
+        }
+    }
+
+    /// Handles one delivered interconnect message at shard `s`. `pkt_id`
+    /// is the wire packet's id (0 for plain packets), forwarded to the
+    /// message's delivery span.
+    fn deliver(&mut self, s: usize, t: u64, msg: ClusterMsg, pkt_id: u32) {
         if let Some(log) = &mut self.spans {
-            log.record(SpanKind::MsgDeliver, self.t, s as u16, msg.task(), pkt_id);
+            log.record(SpanKind::MsgDeliver, t, s as u16, msg.task(), pkt_id);
         }
         match msg {
             ClusterMsg::Register { task, deps } => {
-                self.arrived[s].insert(task, deps);
+                let q = &mut self.shards[s].expected;
+                let at = q
+                    .binary_search_by_key(&task, |&(id, _)| id)
+                    .expect("a fragment arrives only at a shard that expects it");
+                q[at].1 = Some(deps);
             }
             ClusterMsg::Ready { task } => {
                 let ti = task as usize;
                 self.frag_ready[ti] += 1;
                 if self.frag_ready[ti] == self.frag_total[ti] {
                     debug_assert!(self.local_popped[ti], "local pop counts toward the total");
-                    self.exec_q[s].push_back(task);
+                    self.shards[s].exec_q.push_back(task);
                 }
             }
             ClusterMsg::Finish { task } => {
-                let slot = self.slot_at[s]
+                let sh = &mut self.shards[s];
+                let slot = sh
+                    .slot_at
                     .remove(&task)
                     .expect("remote fragment popped before its task ran");
-                self.sys[s].notify_finished(FinishedReq {
+                sh.sys.notify_finished(FinishedReq {
                     task: TaskId::new(task),
                     slot,
                 });
-                self.touched[s] = true;
+                sh.touched = true;
             }
+        }
+    }
+
+    /// Ingress at shard `s`: feed the Gateway in creation order.
+    #[inline(always)]
+    fn ingress(&mut self, s: usize) {
+        let sh = &mut self.shards[s];
+        while let Some((_, Some(_))) = sh.expected.front() {
+            let (task, deps) = sh.expected.pop_front().expect("peeked");
+            sh.sys.submit(TaskId::new(task), deps.expect("peeked"));
+            sh.touched = true;
+        }
+    }
+
+    /// Execution at shard `s`: first the tasks whose last remote notice
+    /// arrived earlier, then the shard's ready stream.
+    #[inline(always)]
+    fn execute(&mut self, s: usize, t: u64) {
+        loop {
+            let sh = &mut self.shards[s];
+            if sh.exec_q.is_empty() || sh.workers.idle() == 0 {
+                break;
+            }
+            let task = sh.exec_q.pop_front().expect("checked");
+            self.start_task(s, t, task, self.local_slot[task as usize]);
+        }
+        while let Some(rt) = self.shards[s].sys.peek_ready() {
+            let task = rt.task.raw();
+            let ti = task as usize;
+            let sh = &mut self.shards[s];
+            if self.placement[ti] as usize != s {
+                // A remote fragment: consume it and wake the placement
+                // shard over the interconnect.
+                let rt = sh.sys.pop_ready().expect("peeked");
+                sh.slot_at.insert(task, rt.slot);
+                let p = self.placement[ti] as usize;
+                self.send_msg(t, Phase::Execute, s, p, ClusterMsg::Ready { task }, 1);
+                continue;
+            }
+            // Popping the local fragment completes readiness when no
+            // remote notice is outstanding: take it only when a worker can
+            // start it (the single-Picos TS discipline — otherwise it
+            // waits in the TS buffer). With notices outstanding, park it
+            // so it cannot head-of-line-block tasks queued behind it.
+            let completes = self.frag_ready[ti] + 1 == self.frag_total[ti];
+            if completes && sh.workers.idle() == 0 {
+                break;
+            }
+            let rt = sh.sys.pop_ready().expect("peeked");
+            self.local_slot[ti] = rt.slot;
+            self.local_popped[ti] = true;
+            self.frag_ready[ti] += 1;
+            if completes {
+                self.start_task(s, t, task, rt.slot);
+            }
+        }
+    }
+
+    /// Runs the fault layer's own events at `t`: fail-stop worker faults
+    /// (a killed in-flight task re-enters the execution queue for
+    /// deterministic re-execution), then due retry deadlines.
+    fn pump_faults(&mut self, t: u64) {
+        let Some(f) = &mut self.faults else { return };
+        while let Some(sh) = f.due_worker_fault(t) {
+            let s = sh as usize;
+            if let Some((task, slot)) = self.shards[s].workers.fail_one() {
+                self.local_slot[task as usize] = slot;
+                self.restarts.insert(task);
+                self.shards[s].exec_q.push_back(task);
+                f.note_recovery();
+                if let Some(log) = &mut self.spans {
+                    log.record(SpanKind::Fault, t, sh, task, 0);
+                }
+            }
+        }
+        for (from, to) in f.pump_retries(t, &mut self.links) {
+            self.link_sent[to as usize] += 1;
+            if let Some(log) = &mut self.spans {
+                log.record(SpanKind::MsgRetry, t, from, u32::MAX, 0);
+            }
+        }
+    }
+
+    /// The Distributor at `t`: create every task the taskwait structure
+    /// allows.
+    fn distribute(&mut self, t: u64) {
+        while self.ingest.feedable(self.next_feed, self.ingest.finished) {
+            let i = self.next_feed as u32;
+            let p = self.placement[self.next_feed] as usize;
+            let local = self.local[self.next_feed].clone();
+            self.shards[p].expected.push_back((i, Some(local)));
+            for ri in 0..self.remote[self.next_feed].len() {
+                let (r, deps) = self.remote[self.next_feed][ri].clone();
+                self.shards[r as usize].expected.push_back((i, None));
+                let words = deps.len() + 1;
+                let msg = ClusterMsg::Register { task: i, deps };
+                self.send_msg(t, Phase::Distribute, p, r as usize, msg, words);
+            }
+            self.next_feed += 1;
         }
     }
 
@@ -436,9 +641,9 @@ impl ClusterSession {
     /// runs are bit-identical to no plan at all) plus the run's lifecycle
     /// [`SpanLog`] when the session was opened with span tracing: driver
     /// events merged with every shard core's probe events, in recording
-    /// order. Serial and parallel drives record the same event *multiset*
-    /// in different interleavings; [`SpanLog::canonical_sort`] makes the
-    /// logs bit-equal for any thread count.
+    /// order. The serial pump and the epoch loop record the same event
+    /// *multiset* in different interleavings; [`SpanLog::canonical_sort`]
+    /// makes the logs bit-equal whichever drive ran.
     ///
     /// # Errors
     ///
@@ -463,23 +668,16 @@ impl ClusterSession {
     }
 
     fn finish_parts(mut self) -> Result<ClusterOutput, ClusterError> {
-        if self.par_eligible() {
-            // Unbounded drive: the epoch engine stops when every lane is
-            // quiescent, exactly where drive_finish would.
-            self.drive_events_par(u64::MAX);
-        } else if self.engine_err.is_none() {
-            self.drive_finish();
-        }
-        if let Some(e) = self.engine_err.take() {
-            return Err(e);
-        }
+        self.drain();
         let n = self.ingest.admitted;
         let clean = self.log.order.len() == n
-            && self.sys.iter().all(|s| s.in_flight() == 0)
             && self.links.iter().all(|l| l.in_flight() == 0)
-            && self.workers.iter().all(|w| !w.busy())
-            && self.exec_q.iter().all(VecDeque::is_empty)
-            && self.expected.iter().all(VecDeque::is_empty)
+            && self.shards.iter().all(|sh| {
+                sh.sys.in_flight() == 0
+                    && !sh.workers.busy()
+                    && sh.exec_q.is_empty()
+                    && sh.expected.is_empty()
+            })
             && self.next_feed == n;
         if !clean {
             // A run that completed despite timed-out messages reports
@@ -493,16 +691,17 @@ impl ClusterSession {
                 at: self.t,
             });
         }
-        let stats = self.sys.iter().map(PicosSystem::stats).collect();
+        let stats = self.shards.iter().map(|sh| sh.sys.stats()).collect();
         let timeline = match self.sampler.take() {
             Some(sampler) => {
                 let end = self.t;
                 let cluster = sampler.finish(end, |out| self.probe_cluster(out));
                 let shard_tls: Vec<Timeline> = self
-                    .sys
+                    .shards
                     .iter_mut()
-                    .map(|s| {
-                        s.take_timeline()
+                    .map(|sh| {
+                        sh.sys
+                            .take_timeline()
                             .expect("every shard sampler attached alongside the cluster sampler")
                     })
                     .collect();
@@ -519,8 +718,8 @@ impl ClusterSession {
         let fault_counters = self.fault_counters();
         let mut spans = self.spans.take();
         if let Some(log) = spans.as_mut() {
-            for shard in self.sys.iter_mut() {
-                if let Some(core) = shard.take_spans() {
+            for shard in self.shards.iter_mut() {
+                if let Some(core) = shard.sys.take_spans() {
                     log.extend_from(&core);
                 }
             }
@@ -536,172 +735,41 @@ impl ClusterSession {
 }
 
 impl EventLoopCore for ClusterSession {
-    /// Runs the loop body of the batch driver at the current time.
+    /// Runs the loop body of the batch driver at the current time: each
+    /// phase over every shard, with the fault layer first and the
+    /// Distributor between deliveries and ingress.
     fn pump(&mut self) {
         let k = self.cfg.shards;
         let t = self.t;
-        // The fault layer moves into a local for the pump's duration so
-        // its methods can borrow the links/session state alongside it.
-        let mut faults = self.faults.take();
-        for s in self.sys.iter_mut() {
-            s.advance_to(t);
+        for sh in self.shards.iter_mut() {
+            sh.sys.advance_to(t);
+            sh.touched = false;
         }
-        self.touched.iter_mut().for_each(|f| *f = false);
-        // Fault layer first: fail-stop worker faults (a killed in-flight
-        // task re-enters the execution queue for deterministic
-        // re-execution), then due retry deadlines.
-        if let Some(f) = faults.as_mut() {
-            while let Some(sh) = f.due_worker_fault(t) {
-                let s = sh as usize;
-                if let Some((task, slot)) = self.workers[s].fail_one() {
-                    self.local_slot[task as usize] = slot;
-                    self.restarts.insert(task);
-                    self.exec_q[s].push_back(task);
-                    f.note_recovery();
-                    if let Some(log) = &mut self.spans {
-                        log.record(SpanKind::Fault, t, sh, task, 0);
-                    }
-                }
-            }
-            for (from, to) in f.pump_retries(t, &mut self.links) {
-                self.link_sent[to as usize] += 1;
-                if let Some(log) = &mut self.spans {
-                    log.record(SpanKind::MsgRetry, t, from, u32::MAX, 0);
-                }
-            }
-        }
-        // Worker completions: notify the local shard now, remote fragment
-        // shards over the interconnect.
+        self.pump_faults(t);
         for s in 0..k {
-            while let Some((task, slot)) = self.workers[s].pop_done_at(t) {
-                self.sys[s].notify_finished(FinishedReq {
-                    task: TaskId::new(task),
-                    slot,
-                });
-                for ri in 0..self.remote[task as usize].len() {
-                    let r = self.remote[task as usize][ri].0 as usize;
-                    self.send_msg(&mut faults, s, r, ClusterMsg::Finish { task }, 1);
-                }
-                self.ingest.finished += 1;
-                if let Some(log) = &mut self.spans {
-                    log.record(SpanKind::Finished, t, s as u16, task, 0);
-                }
-                self.touched[s] = true;
-            }
-        }
-        // Interconnect deliveries: pause-released deferrals first (they
-        // arrived earlier), then fresh arrivals, each through the fault
-        // layer's receive path when one is attached.
-        for s in 0..k {
-            if let Some(f) = faults.as_mut() {
-                while let Some(pkt) = f.pop_deferred(s, t) {
-                    let id = pkt.id;
-                    if let Some(msg) = f.receive(s, t, pkt) {
-                        self.deliver(s, msg, id);
-                    }
-                }
-            }
-            while let Some(pkt) = self.links[s].pop_delivery_at(t) {
-                let id = pkt.id;
-                match faults.as_mut() {
-                    Some(f) => {
-                        if let Some(msg) = f.receive(s, t, pkt) {
-                            self.deliver(s, msg, id);
-                        }
-                    }
-                    None => self.deliver(s, pkt.msg, id),
-                }
-            }
-        }
-        // Distributor: create every task the taskwait structure allows.
-        while self.ingest.feedable(self.next_feed, self.ingest.finished) {
-            let i = self.next_feed as u32;
-            let p = self.placement[self.next_feed] as usize;
-            self.expected[p].push_back(i);
-            self.arrived[p].insert(i, self.local[self.next_feed].clone());
-            for ri in 0..self.remote[self.next_feed].len() {
-                let (r, deps) = self.remote[self.next_feed][ri].clone();
-                self.expected[r as usize].push_back(i);
-                let words = deps.len() + 1;
-                self.send_msg(
-                    &mut faults,
-                    p,
-                    r as usize,
-                    ClusterMsg::Register { task: i, deps },
-                    words,
-                );
-            }
-            self.next_feed += 1;
-        }
-        // Ingress: feed each Gateway in creation order.
-        for s in 0..k {
-            while let Some(&head) = self.expected[s].front() {
-                let Some(deps) = self.arrived[s].remove(&head) else {
-                    break;
-                };
-                self.sys[s].submit(TaskId::new(head), deps);
-                self.expected[s].pop_front();
-                self.touched[s] = true;
-            }
+            self.complete(s, t);
         }
         for s in 0..k {
-            if self.touched[s] {
-                self.sys[s].advance_to(t);
-            }
+            self.receive(s, t);
         }
-        // Execution: first the tasks whose last remote notice arrived
-        // earlier, then the shard's ready stream.
+        self.distribute(t);
         for s in 0..k {
-            while self.workers[s].idle() > 0 {
-                let Some(&task) = self.exec_q[s].front() else {
-                    break;
-                };
-                self.exec_q[s].pop_front();
-                self.start_task(s, task, self.local_slot[task as usize]);
-            }
-            while let Some(rt) = self.sys[s].peek_ready() {
-                let task = rt.task.raw();
-                let ti = task as usize;
-                if self.placement[ti] as usize != s {
-                    // A remote fragment: consume it and wake the placement
-                    // shard over the interconnect.
-                    let rt = self.sys[s].pop_ready().expect("peeked");
-                    self.slot_at[s].insert(task, rt.slot);
-                    let p = self.placement[ti] as usize;
-                    self.send_msg(&mut faults, s, p, ClusterMsg::Ready { task }, 1);
-                    continue;
-                }
-                if self.frag_ready[ti] + 1 == self.frag_total[ti] {
-                    // Popping the local fragment completes readiness: take
-                    // it only when a worker can start it (the single-Picos
-                    // TS discipline — otherwise it waits in the TS buffer).
-                    if self.workers[s].idle() == 0 {
-                        break;
-                    }
-                    let rt = self.sys[s].pop_ready().expect("peeked");
-                    self.local_slot[ti] = rt.slot;
-                    self.local_popped[ti] = true;
-                    self.frag_ready[ti] += 1;
-                    self.start_task(s, task, rt.slot);
-                } else {
-                    // Remote notices outstanding: park the fragment so it
-                    // cannot head-of-line-block tasks queued behind it.
-                    let rt = self.sys[s].pop_ready().expect("peeked");
-                    self.local_slot[ti] = rt.slot;
-                    self.local_popped[ti] = true;
-                    self.frag_ready[ti] += 1;
-                }
-            }
+            self.ingress(s);
         }
-        self.faults = faults;
+        for sh in self.shards.iter_mut().filter(|sh| sh.touched) {
+            sh.sys.advance_to(t);
+        }
+        for s in 0..k {
+            self.execute(s, t);
+        }
     }
 
     fn next_time(&self) -> Option<u64> {
         min_next(
-            self.sys
+            self.shards
                 .iter()
-                .map(|s| s.next_event_time())
-                .chain(self.workers.iter().map(|w| w.next_done()))
+                .map(|sh| sh.sys.next_event_time())
+                .chain(self.shards.iter().map(|sh| sh.workers.next_done()))
                 .chain(self.links.iter().map(|l| l.next_delivery()))
                 .chain(std::iter::once(
                     self.faults.as_ref().and_then(|f| f.next_time()),
@@ -726,8 +794,8 @@ impl EventLoopCore for ClusterSession {
     }
 
     fn on_clock_jump(&mut self) {
-        for s in self.sys.iter_mut() {
-            s.advance_to(self.t);
+        for sh in self.shards.iter_mut() {
+            sh.sys.advance_to(self.t);
         }
     }
 
@@ -775,31 +843,10 @@ impl SessionCore for ClusterSession {
     }
 
     fn advance_to(&mut self, cycle: u64) {
-        if self.engine_err.is_some() {
-            // A caught lane panic killed the session; the error surfaces
-            // from `into_report`.
-            return;
-        }
-        if self.par_eligible() {
-            // The epoch engine pumps and moves the clock outside the
-            // shared drive.
-            self.settled = false;
-            self.drive_events_par(cycle);
-            // The serial drive's trailing jump: land exactly on `cycle`
-            // (unless a lane panic just killed the session).
-            if self.engine_err.is_none() && cycle > self.t {
-                self.set_clock(cycle);
-                self.on_clock_jump();
-            }
-        } else {
-            self.drive_to(cycle);
-        }
+        self.drive_to(cycle);
     }
 
     fn step(&mut self) -> bool {
-        if self.engine_err.is_some() {
-            return false;
-        }
         self.drive_step()
     }
 
@@ -1046,67 +1093,52 @@ mod tests {
         );
     }
 
+    /// Finishes `s` through the serial pump: the pump runs to quiescence
+    /// first, so the epoch loop finds nothing left to drain.
+    fn finish_serial(mut s: ClusterSession) -> ClusterOutput {
+        s.drive_finish();
+        s.into_output().unwrap()
+    }
+
+    fn fed(cfg: ClusterConfig, session: SessionConfig, tr: &Trace) -> ClusterSession {
+        let mut s = ClusterSession::new(cfg, session).unwrap();
+        feed_trace(&mut s, tr).unwrap();
+        s
+    }
+
     #[test]
-    fn parallel_engine_is_bit_identical_to_serial() {
+    fn epoch_drain_is_bit_identical_to_the_serial_pump() {
         let tr = gen::stream(gen::StreamConfig::heavy(600));
-        for shards in [2usize, 4] {
-            let serial = run_cluster_with_stats(&tr, &ClusterConfig::balanced(shards, 16)).unwrap();
-            for threads in 2..=shards {
-                let cfg = ClusterConfig::balanced(shards, 16).with_threads(threads);
-                let par = run_cluster_with_stats(&tr, &cfg).unwrap();
-                assert_eq!(serial, par, "{shards} shards, {threads} threads");
-            }
+        for shards in [2usize, 3, 4] {
+            let cfg = ClusterConfig::balanced(shards, 16);
+            let serial = finish_serial(fed(cfg.clone(), SessionConfig::batch(), &tr));
+            let epoch = fed(cfg, SessionConfig::batch(), &tr).into_output().unwrap();
+            assert_eq!(serial, epoch, "{shards} shards");
         }
     }
 
     #[test]
-    fn threaded_epoch_loop_matches_inline() {
-        // Force real OS threads past the available-parallelism cap so the
-        // barrier/coordinator path runs even on a one-core machine. The
-        // variable is process-global, but its only effect is choosing the
-        // threaded loop, which is result-identical by design.
-        std::env::set_var("PICOS_CLUSTER_FORCE_THREADS", "1");
-        let tr = gen::stream(gen::StreamConfig::heavy(400));
-        let serial = run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 12)).unwrap();
-        for threads in [2usize, 4] {
-            let cfg = ClusterConfig::balanced(4, 12).with_threads(threads);
-            let par = run_cluster_with_stats(&tr, &cfg).unwrap();
-            assert_eq!(serial, par, "{threads} forced threads");
-        }
-        std::env::remove_var("PICOS_CLUSTER_FORCE_THREADS");
-    }
-
-    #[test]
-    fn parallel_engine_matches_serial_event_stream() {
+    fn epoch_drain_records_the_serial_event_multiset() {
         let tr = gen::stream(gen::StreamConfig::heavy(300));
-        let collect = |threads: usize| {
-            let cfg = ClusterConfig::balanced(4, 12).with_threads(threads);
-            let mut s = ClusterSession::new(cfg, SessionConfig::batch().with_spans()).unwrap();
-            feed_trace(&mut s, &tr).unwrap();
-            s.advance_to(u64::MAX / 2);
-            let mut drained = SpanLog::new();
-            let mut events = Vec::new();
-            s.drain_events(&mut events);
-            for e in events {
-                drained.record(e.kind, e.at, e.shard, e.task, e.arg);
-            }
-            drained.canonical_sort();
-            (drained, s.into_report().unwrap())
-        };
-        let (serial_events, serial_report) = collect(1);
-        let (par_events, par_report) = collect(4);
-        assert_eq!(serial_report, par_report);
-        assert!(!serial_events.is_empty());
-        assert_eq!(
-            serial_events, par_events,
-            "lanes must record the serial engine's event multiset"
-        );
+        let cfg = ClusterConfig::balanced(4, 12);
+        let spans = SessionConfig::batch().with_spans();
+        let serial = finish_serial(fed(cfg.clone(), spans, &tr));
+        let epoch = fed(cfg, spans, &tr).into_output().unwrap();
+        assert_eq!(serial.0, epoch.0);
+        let (mut a, mut b) = (serial.4.unwrap(), epoch.4.unwrap());
+        assert!(!a.is_empty());
+        // The epoch loop records shard after shard, so a different raw
+        // order proves it really drained the run.
+        assert_ne!(a, b, "the plain finish must drain through the epoch loop");
+        a.canonical_sort();
+        b.canonical_sort();
+        assert_eq!(a, b, "the epoch loop must record the serial event multiset");
     }
 
     #[test]
-    fn parallel_engine_respects_taskwait_gates() {
-        // Gated creation keeps the Distributor live mid-run, so the drive
-        // must fall back to serial pumping until each gate clears.
+    fn epoch_drain_respects_taskwait_gates() {
+        // Gated creation keeps the Distributor live mid-run, so the drain
+        // must pump serially until each gate clears.
         let mut tr = Trace::new("barriered");
         let kc = picos_trace::KernelClass::GENERIC;
         for i in 0..40u64 {
@@ -1116,17 +1148,43 @@ mod tests {
         for i in 0..40u64 {
             tr.push(kc, [Dependence::inout(0x9000 + (i % 7) * 0x40)], 45);
         }
-        let serial = run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 8)).unwrap();
-        let par =
-            run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 8).with_threads(4)).unwrap();
-        assert_eq!(serial, par);
+        let cfg = ClusterConfig::balanced(4, 8);
+        let serial = finish_serial(fed(cfg.clone(), SessionConfig::batch(), &tr));
+        let epoch = fed(cfg, SessionConfig::batch(), &tr).into_output().unwrap();
+        assert_eq!(serial, epoch);
     }
 
     #[test]
-    fn parallel_windowed_session_matches_serial() {
+    fn zero_cost_cascades_replay_in_serial_round_order() {
+        // With no dispatch cost a zero-duration task starts and finishes
+        // at the same cycle, so a shard pumps several rounds at one time
+        // and sends `Finish` notices in a later round than other shards'
+        // `Ready` notices to the same link: the replay must order by
+        // round before phase.
+        let mut tr = Trace::new("cascades");
+        let kc = picos_trace::KernelClass::GENERIC;
+        for i in 0..400u64 {
+            let deps = [
+                Dependence::inout(0x1000 + (i % 13) * 0x40),
+                Dependence::input(0x8000 + (i % 7) * 0x40),
+            ];
+            tr.push(kc, deps, if i % 3 == 0 { 40 } else { 0 });
+        }
+        let cfg = ClusterConfig {
+            dispatch: 0,
+            ..ClusterConfig::balanced(4, 8)
+        };
+        let serial = finish_serial(fed(cfg.clone(), SessionConfig::batch(), &tr));
+        let epoch = fed(cfg, SessionConfig::batch(), &tr).into_output().unwrap();
+        serial.0.validate(&tr).unwrap();
+        assert_eq!(serial, epoch);
+    }
+
+    #[test]
+    fn windowed_session_drains_like_the_serial_pump() {
         let tr = gen::stream(gen::StreamConfig::heavy(300));
-        let drive = |threads: usize| {
-            let cfg = ClusterConfig::balanced(2, 8).with_threads(threads);
+        let drive = || {
+            let cfg = ClusterConfig::balanced(2, 8);
             let mut s = ClusterSession::new(cfg, SessionConfig::windowed(16)).unwrap();
             for task in tr.iter() {
                 loop {
@@ -1136,37 +1194,25 @@ mod tests {
                     }
                 }
             }
-            s.into_report().unwrap()
+            s
         };
-        assert_eq!(drive(1), drive(2));
+        assert_eq!(finish_serial(drive()), drive().into_output().unwrap());
     }
 
     #[test]
-    fn timed_parallel_sessions_match_serial_bit_for_bit() {
-        // Sampler-attached sessions run the epoch engine too: every window
-        // boundary lands on an epoch-planning point, where the merged lane
-        // state equals the serial engine's — the stitched timeline must be
-        // bit-identical for any thread count and any window size (windows
-        // both smaller and larger than the interconnect lookahead).
+    fn timed_epoch_drains_match_the_serial_pump_bit_for_bit() {
+        // Every window boundary lands on an epoch-planning point, where the
+        // replayed state equals the serial pump's — the stitched timeline
+        // must be bit-identical for any window size (windows both smaller
+        // and larger than the interconnect lookahead).
         let tr = gen::stream(gen::StreamConfig::heavy(300));
         for window in [8u64, 64, 512] {
-            let run_timed = |threads: usize| {
-                let cfg = ClusterConfig::balanced(4, 8).with_threads(threads);
-                let mut s = ClusterSession::new(cfg, SessionConfig::timed(window)).unwrap();
-                feed_trace(&mut s, &tr).unwrap();
-                s.into_report_full().unwrap()
-            };
-            let (sr, ss, stl) = run_timed(1);
-            for threads in [2usize, 4] {
-                let (pr, ps, ptl) = run_timed(threads);
-                assert_eq!(sr, pr, "window {window}, {threads} threads");
-                assert_eq!(ss, ps, "window {window}, {threads} threads");
-                assert_eq!(
-                    stl.as_ref().expect("timed"),
-                    ptl.as_ref().expect("timed"),
-                    "window {window}, {threads} threads: timelines must match"
-                );
-            }
+            let cfg = ClusterConfig::balanced(4, 8);
+            let timed = SessionConfig::timed(window);
+            let serial = finish_serial(fed(cfg.clone(), timed, &tr));
+            let epoch = fed(cfg, timed, &tr).into_output().unwrap();
+            assert!(serial.2.is_some(), "window {window}: timed");
+            assert_eq!(serial, epoch, "window {window}");
         }
     }
 
@@ -1265,29 +1311,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_crosses_engine_thread_counts() {
-        // The fingerprint deliberately excludes the thread knob: parallel
-        // and serial engines are bit-identical, so a snapshot taken under
-        // one restores and continues under the other.
+    fn cut_and_fork_drain_by_epoch_like_the_serial_pump() {
+        // A snapshot cut after `drive_to`, restored into a fresh session,
+        // and a `Clone` fork, each finished by the epoch loop, equal the
+        // original finished by the serial pump.
         let tr = gen::stream(gen::StreamConfig::heavy(400));
         let cut = tr.len() / 2;
-        let serial_cfg = ClusterConfig::balanced(4, 12);
-        let par_cfg = ClusterConfig::balanced(4, 12).with_threads(4);
-
-        let mut live = ClusterSession::new(par_cfg.clone(), SessionConfig::windowed(32)).unwrap();
+        let cfg = ClusterConfig::balanced(4, 12);
+        let scfg = SessionConfig::windowed(32);
+        let mut live = ClusterSession::new(cfg.clone(), scfg).unwrap();
         feed_range(&mut live, &tr, 0..cut).unwrap();
         live.advance_to(live.now() + 1_000);
-        let snap = live.save_state();
+        let mut restored = ClusterSession::new(cfg, scfg).unwrap();
+        restored.load_state(&live.save_state()).unwrap();
+        let fork = live.clone();
 
-        let finish = |mut s: ClusterSession| {
+        let rest = |mut s: ClusterSession| {
             feed_range(&mut s, &tr, cut..tr.len()).unwrap();
-            s.into_report().unwrap()
+            s
         };
-        let mut into_serial = ClusterSession::new(serial_cfg, SessionConfig::windowed(32)).unwrap();
-        into_serial.load_state(&snap).unwrap();
-        let mut into_par = ClusterSession::new(par_cfg, SessionConfig::windowed(32)).unwrap();
-        into_par.load_state(&snap).unwrap();
-        assert_eq!(finish(into_serial), finish(into_par));
+        let serial = finish_serial(rest(live));
+        assert_eq!(rest(restored).into_output().unwrap(), serial, "restored");
+        assert_eq!(rest(fork).into_output().unwrap(), serial, "fork");
     }
 
     #[test]

@@ -7,18 +7,15 @@
 //! the *identical* configuration, then [`ClusterSession::load_state`]
 //! overwrites its dynamic state. A configuration fingerprint (plus
 //! attachment guards for the sampler, span log and fault plan) rejects
-//! mismatched targets instead of silently diverging. The engine thread
-//! count is deliberately **not** fingerprinted: the parallel engine is
-//! bit-identical to the serial one, so a snapshot taken under either
-//! drives on unchanged under the other.
+//! mismatched targets instead of silently diverging.
 
-use super::{ClusterMsg, ClusterSession};
+use super::{ClusterMsg, ClusterSession, Shard};
 use crate::config::{ClusterConfig, ShardPolicy};
-use picos_core::{PicosSystem, SlotRef};
-use picos_hil::{Link, Workers};
+use picos_core::SlotRef;
+use picos_hil::Link;
 use picos_trace::snap::{guard, Dec, Enc, Snap, SnapError};
 use picos_trace::{Dependence, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Stable wire code of a placement policy.
@@ -115,13 +112,8 @@ impl ClusterSession {
     pub fn save_state(&self) -> Value {
         let Self {
             cfg,
-            sys,
-            workers,
+            shards,
             links,
-            expected,
-            arrived,
-            slot_at,
-            exec_q,
             placement,
             local,
             remote,
@@ -135,7 +127,6 @@ impl ClusterSession {
             empty_deps: _,
             next_feed,
             t,
-            touched: _,
             ingest,
             log,
             link_sent,
@@ -143,11 +134,31 @@ impl ClusterSession {
             spans,
             faults,
             restarts,
-            engine_err: _,
+            epoch: _,
             settled: _,
         } = self;
-        let arrived: Vec<_> = arrived.iter().map(sorted).collect();
-        let slot_at: Vec<_> = slot_at.iter().map(sorted).collect();
+        // The ingress queue is two columns: the expected task ids, and the
+        // fragments that already arrived.
+        let (mut expected, mut arrived, mut slot_at) = (Vec::new(), Vec::new(), Vec::new());
+        for shard in shards {
+            // Every field is a column below except `touched`, which each
+            // pump resets.
+            let Shard {
+                sys: _,
+                workers: _,
+                expected: q,
+                slot_at: sa,
+                exec_q: _,
+                touched: _,
+            } = shard;
+            expected.push(q.iter().map(|&(task, _)| task).collect::<Vec<u32>>());
+            arrived.push(
+                q.iter()
+                    .filter_map(|(task, deps)| Some((*task, deps.clone()?)))
+                    .collect::<Vec<_>>(),
+            );
+            slot_at.push(sorted(sa));
+        }
         let mut restarts: Vec<u32> = restarts.iter().copied().collect();
         restarts.sort_unstable();
         let mut e = Enc::new();
@@ -156,16 +167,16 @@ impl ClusterSession {
             .put(&spans.is_some())
             .put(&faults.is_some())
             .val(Value::Arr(
-                sys.iter().map(PicosSystem::save_state).collect(),
+                shards.iter().map(|sh| sh.sys.save_state()).collect(),
             ))
             .val(Value::Arr(
-                workers.iter().map(Workers::save_state).collect(),
+                shards.iter().map(|sh| sh.workers.save_state()).collect(),
             ))
             .val(Value::Arr(links.iter().map(Link::save_state).collect()))
-            .put(expected)
+            .put(&expected)
             .put(&arrived)
             .put(&slot_at)
-            .put(exec_q)
+            .seq(shards.iter().map(|sh| &sh.exec_q))
             .put(placement)
             .put(local)
             .put(remote)
@@ -188,9 +199,8 @@ impl ClusterSession {
     }
 
     /// Overwrites this session's dynamic state with the state recorded by
-    /// [`ClusterSession::save_state`]. Continuing the restored session —
-    /// under either the serial or the parallel engine — is bit-exact with
-    /// the session the snapshot was taken from.
+    /// [`ClusterSession::save_state`]. Continuing the restored session is
+    /// bit-exact with the session the snapshot was taken from.
     ///
     /// # Errors
     ///
@@ -204,33 +214,41 @@ impl ClusterSession {
         d.guard("cluster sampler attached", self.sampler.is_some())?;
         d.guard("cluster spans attached", self.spans.is_some())?;
         d.guard("cluster fault layer attached", self.faults.is_some())?;
-        d.each(
-            &mut self.sys,
-            "cluster shard cores",
-            PicosSystem::load_state,
-        )?;
-        d.each(
-            &mut self.workers,
-            "cluster worker pools",
-            Workers::load_state,
-        )?;
+        d.each(&mut self.shards, "cluster shard cores", |sh, v| {
+            sh.sys.load_state(v)
+        })?;
+        d.each(&mut self.shards, "cluster worker pools", |sh, v| {
+            sh.workers.load_state(v)
+        })?;
         d.each(&mut self.links, "cluster links", Link::load_state)?;
-        self.expected = d.take()?;
-        self.arrived = d
-            .take::<Vec<Vec<(u32, Arc<[Dependence]>)>>>()?
-            .into_iter()
-            .map(HashMap::from_iter)
-            .collect();
-        self.slot_at = d
-            .take::<Vec<Vec<(u32, SlotRef)>>>()?
-            .into_iter()
-            .map(HashMap::from_iter)
-            .collect();
-        self.exec_q = d.take()?;
-        guard("cluster expected columns", self.expected.len(), k)?;
-        guard("cluster arrived columns", self.arrived.len(), k)?;
-        guard("cluster slot_at columns", self.slot_at.len(), k)?;
-        guard("cluster exec_q columns", self.exec_q.len(), k)?;
+        let expected: Vec<Vec<u32>> = d.take()?;
+        let arrived: Vec<Vec<(u32, Arc<[Dependence]>)>> = d.take()?;
+        let slot_at: Vec<Vec<(u32, SlotRef)>> = d.take()?;
+        let exec_q: Vec<VecDeque<u32>> = d.take()?;
+        guard("cluster expected columns", expected.len(), k)?;
+        guard("cluster arrived columns", arrived.len(), k)?;
+        guard("cluster slot_at columns", slot_at.len(), k)?;
+        guard("cluster exec_q columns", exec_q.len(), k)?;
+        let columns = expected.into_iter().zip(arrived).zip(slot_at).zip(exec_q);
+        for (sh, (((expected, arrived), slot_at), exec_q)) in self.shards.iter_mut().zip(columns) {
+            let mut arrived = arrived.into_iter().peekable();
+            sh.expected = expected
+                .into_iter()
+                .map(|task| {
+                    (
+                        task,
+                        arrived.next_if(|(a, _)| *a == task).map(|(_, deps)| deps),
+                    )
+                })
+                .collect();
+            if arrived.next().is_some() {
+                return Err(SnapError::new(
+                    "cluster session: an arrived fragment is not in its ingress queue",
+                ));
+            }
+            sh.slot_at = HashMap::from_iter(slot_at);
+            sh.exec_q = exec_q;
+        }
         self.placement = d.take()?;
         self.local = d.take()?;
         self.remote = d.take()?;
@@ -256,7 +274,6 @@ impl ClusterSession {
                 return Err(SnapError::new("cluster session: unexpected fault state"));
             }
         }
-        self.engine_err = None;
         self.settled = false;
         Ok(())
     }

@@ -239,10 +239,11 @@ impl HilSession {
     ///
     /// # Errors
     ///
-    /// Returns a message when the configuration has zero workers (the
-    /// Picos core configuration itself is validated by
-    /// [`PicosSystem::new`], which panics on invalid configs).
+    /// Returns a message when the configuration has zero workers, a
+    /// worker-fault schedule that kills them all, or a Picos core
+    /// configuration that fails [`PicosConfig::validate`].
     pub fn new(mode: HilMode, cfg: HilConfig, session: SessionConfig) -> Result<Self, String> {
+        cfg.picos.validate()?;
         if cfg.workers == 0 {
             return Err("picos platform needs at least one worker".into());
         }
@@ -887,12 +888,11 @@ impl SessionCore for HilSession {
 /// # Errors
 ///
 /// Returns [`HilError::Stalled`] if the run cannot complete (this would
-/// indicate an engine bug; the configuration itself is validated by
-/// [`PicosSystem::new`]).
+/// indicate an engine bug).
 ///
 /// # Panics
 ///
-/// Panics on a zero worker count.
+/// Panics on a configuration [`HilSession::new`] rejects.
 pub fn run_hil(trace: &Trace, mode: HilMode, cfg: &HilConfig) -> Result<ExecReport, HilError> {
     run_hil_with_stats(trace, mode, cfg).map(|(r, _)| r)
 }
@@ -908,14 +908,14 @@ pub fn run_hil(trace: &Trace, mode: HilMode, cfg: &HilConfig) -> Result<ExecRepo
 ///
 /// # Panics
 ///
-/// Panics on a zero worker count.
+/// Panics on a configuration [`HilSession::new`] rejects.
 pub fn run_hil_with_stats(
     trace: &Trace,
     mode: HilMode,
     cfg: &HilConfig,
 ) -> Result<(ExecReport, picos_core::Stats), HilError> {
     let mut s = HilSession::new(mode, cfg.clone(), SessionConfig::batch())
-        .expect("need at least one worker");
+        .unwrap_or_else(|e| panic!("invalid HIL configuration: {e}"));
     feed_trace(&mut s, trace).expect("unbounded window cannot stall");
     s.into_report()
 }
@@ -1084,6 +1084,22 @@ mod tests {
             SessionConfig::batch()
         )
         .is_err());
+    }
+
+    #[test]
+    fn invalid_picos_config_is_a_session_error() {
+        // Zero TRS/DCT instances used to panic inside `PicosSystem::new`.
+        let cfg = HilConfig {
+            picos: PicosConfig::future(0, picos_core::DmDesign::PearsonEightWay),
+            ..HilConfig::balanced(4)
+        };
+        for mode in HilMode::ALL {
+            let err = HilSession::new(mode, cfg.clone(), SessionConfig::batch()).unwrap_err();
+            assert!(
+                err.contains("at least one TRS and one DCT"),
+                "{mode}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -644,8 +644,8 @@ impl WindowSampler {
 
     /// The next window boundary to sample (absolute cycle): after
     /// [`WindowSampler::advance`]`(t, ..)` it is strictly greater than `t`.
-    /// Parallel engines clamp their synchronization windows to it so no
-    /// lane simulates past an unsampled boundary.
+    /// The cluster's epoch loop clamps its epochs to it so no shard runs
+    /// past an unsampled boundary.
     pub fn next_boundary(&self) -> u64 {
         self.next
     }

@@ -1,25 +1,14 @@
 //! Shared-nothing parallel vocabulary: the primitives behind the sweep
-//! harness's `par_map` and the cluster's epoch-parallel shard lanes.
+//! harness's `par_map`.
 //!
 //! The build environment has no crates.io access, so there is no `rayon`
-//! and no `crossbeam`: everything here is built on `std::thread::scope`,
-//! atomics and `UnsafeCell`. Three pieces:
-//!
-//! * [`DisjointSlice`] — a slice whose elements are mutated from several
-//!   threads under a *disjoint-index* contract. It backs the write-once
-//!   result slots of `par_map` (each index claimed by exactly one thread
-//!   through an atomic cursor) and the cluster's shard lanes (each lane
-//!   owned by one worker thread during an epoch, by the coordinator
-//!   between epochs).
-//! * [`PhaseCell`] — a single value handed back and forth between threads
-//!   at barrier-separated phases (the epoch control block).
-//! * [`SpinBarrier`] — a sense-reversing spinning barrier with panic
-//!   poisoning, cheap enough to sit inside a simulation epoch loop where
-//!   `std::sync::Barrier`'s mutex/condvar round trip would dominate.
+//! and no `crossbeam`: everything here is built on `std::thread::scope`
+//! and atomics. [`DisjointSlice`] is a slice whose elements are mutated
+//! from several threads under a *disjoint-index* contract; it backs the
+//! write-once result slots of `par_map` (each index claimed by exactly one
+//! thread through an atomic cursor).
 
-use std::cell::UnsafeCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A slice shared across threads under a disjoint-access contract.
 ///
@@ -35,15 +24,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// must happen across a synchronisation point (a barrier wait, a scoped
 /// join, an atomic acquire/release pair) so the writes are visible.
 ///
-/// The two users in this workspace satisfy it structurally:
-///
-/// * `par_map` result slots: indices are claimed through a shared atomic
-///   cursor (`fetch_add`), so no two threads ever see the same index; the
-///   scoped join publishes the writes back to the caller.
-/// * cluster shard lanes and per-task state: each lane (and each task's
-///   readiness state, owned by the task's placement shard) is touched by
-///   exactly one worker thread during an epoch's compute phase, and only
-///   by the coordinator between the two barrier waits that delimit it.
+/// `par_map` satisfies it structurally: indices are claimed through a
+/// shared atomic cursor (`fetch_add`), so no two threads ever see the same
+/// index, and the scoped join publishes the writes back to the caller.
 pub struct DisjointSlice<'a, T> {
     ptr: *mut T,
     len: usize,
@@ -94,148 +77,11 @@ impl<'a, T> DisjointSlice<'a, T> {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         &mut *self.ptr.add(i)
     }
-
-    /// The whole slice, mutably.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have exclusive access to *every* index for the
-    /// lifetime of the returned borrow — the coordinator-between-barriers
-    /// position, when all worker threads are parked.
-    #[allow(clippy::mut_from_ref)] // the whole point, governed by the contract
-    pub unsafe fn as_mut_slice(&self) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
 }
 
 impl<T> std::fmt::Debug for DisjointSlice<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "DisjointSlice(len={})", self.len)
-    }
-}
-
-/// A single value handed between threads at barrier-separated phases.
-///
-/// The multi-value counterpart is [`DisjointSlice`]; `PhaseCell` is the
-/// one-element case (e.g. an epoch control block written by a coordinator
-/// thread and read by workers after a barrier).
-pub struct PhaseCell<T> {
-    cell: UnsafeCell<T>,
-}
-
-// SAFETY: same argument as `DisjointSlice` with a single element.
-unsafe impl<T: Send> Sync for PhaseCell<T> {}
-
-impl<T> PhaseCell<T> {
-    /// Wraps a value for phase-disciplined shared access.
-    pub fn new(value: T) -> Self {
-        PhaseCell {
-            cell: UnsafeCell::new(value),
-        }
-    }
-
-    /// Mutable access to the value.
-    ///
-    /// # Safety
-    ///
-    /// At most one thread may hold the returned borrow at a time, and
-    /// hand-offs between threads must cross a synchronisation point.
-    #[allow(clippy::mut_from_ref)] // the whole point, governed by the contract
-    pub unsafe fn get(&self) -> &mut T {
-        &mut *self.cell.get()
-    }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.cell.into_inner()
-    }
-}
-
-impl<T> std::fmt::Debug for PhaseCell<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PhaseCell")
-    }
-}
-
-/// A sense-reversing spinning barrier with panic poisoning.
-///
-/// Simulation epochs are microseconds long, so the barrier at each epoch
-/// edge must cost nanoseconds, not a mutex/condvar round trip. Waiters
-/// spin with [`std::hint::spin_loop`], falling back to
-/// [`std::thread::yield_now`] so oversubscribed machines (more waiters
-/// than cores) still make progress.
-///
-/// A thread that observes a panic in its phase work calls
-/// [`SpinBarrier::poison`]; every current and future waiter then panics
-/// instead of spinning forever on a participant that will never arrive.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    poisoned: AtomicBool,
-    total: usize,
-}
-
-impl SpinBarrier {
-    /// A barrier for `total` participating threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `total` is zero.
-    pub fn new(total: usize) -> Self {
-        assert!(total > 0, "a barrier needs at least one participant");
-        SpinBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            total,
-        }
-    }
-
-    /// Marks the barrier poisoned: every waiter panics out of its spin.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    /// Blocks until all `total` participants have called `wait` for this
-    /// generation; returns `true` on exactly one of them (the last
-    /// arriver). The release/acquire pair on the generation counter makes
-    /// every write performed before a participant's `wait` visible to all
-    /// participants after it — the hand-off edge [`DisjointSlice`] and
-    /// [`PhaseCell`] users rely on.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the barrier is (or becomes) poisoned.
-    pub fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        let arrived = self.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.total {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.store(gen + 1, Ordering::Release);
-            if self.poisoned.load(Ordering::Acquire) {
-                panic!("spin barrier poisoned by a panicking participant");
-            }
-            return true;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            if self.poisoned.load(Ordering::Acquire) {
-                panic!("spin barrier poisoned by a panicking participant");
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                // Oversubscribed (or the leader is descheduled): yield the
-                // core instead of burning it.
-                std::thread::yield_now();
-            }
-        }
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("spin barrier poisoned by a panicking participant");
-        }
-        false
     }
 }
 
@@ -249,7 +95,7 @@ pub fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn disjoint_slice_cursor_claims_are_exclusive() {
@@ -283,63 +129,5 @@ mod tests {
         unsafe {
             s.get(4);
         }
-    }
-
-    #[test]
-    fn spin_barrier_phases_hand_off_writes() {
-        // Coordinator/worker shape: workers fill their lanes, the
-        // coordinator sums between barriers, workers read the published
-        // total next phase.
-        const THREADS: usize = 4;
-        const ROUNDS: usize = 50;
-        let barrier = SpinBarrier::new(THREADS);
-        let mut lanes = vec![0u64; THREADS];
-        let shared = DisjointSlice::new(&mut lanes);
-        let total = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for tid in 0..THREADS {
-                let barrier = &barrier;
-                let shared = &shared;
-                let total = &total;
-                scope.spawn(move || {
-                    for round in 0..ROUNDS {
-                        // SAFETY: lane `tid` is this thread's alone during
-                        // the compute phase.
-                        unsafe { *shared.get(tid) = (round * (tid + 1)) as u64 };
-                        if barrier.wait() {
-                            // SAFETY: every worker is parked between the
-                            // two waits; the leader owns all lanes.
-                            let sum: u64 = (0..THREADS).map(|i| unsafe { *shared.get(i) }).sum();
-                            total.store(sum, Ordering::Release);
-                        }
-                        barrier.wait();
-                        let expect = (round * THREADS * (THREADS + 1) / 2) as u64;
-                        assert_eq!(total.load(Ordering::Acquire), expect);
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn poisoned_barrier_releases_waiters() {
-        let barrier = SpinBarrier::new(2);
-        let r = std::thread::scope(|scope| {
-            let h = scope.spawn(|| barrier.wait());
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            barrier.poison();
-            h.join()
-        });
-        assert!(r.is_err(), "waiter must panic out of a poisoned barrier");
-    }
-
-    #[test]
-    fn phase_cell_roundtrip() {
-        let cell = PhaseCell::new(7u32);
-        // SAFETY: single-threaded access.
-        unsafe {
-            *cell.get() += 1;
-        }
-        assert_eq!(cell.into_inner(), 8);
     }
 }

@@ -166,8 +166,8 @@ pub trait SessionCore {
     /// of the finished session's span log (which appends the engine
     /// cores' own probe events at finish). Recording order is
     /// simulation-processing order, not timestamp order — a start is
-    /// stamped with its dispatch-delayed cycle — and the parallel cluster
-    /// engine records lane by lane; sort with
+    /// stamped with its dispatch-delayed cycle — and the cluster's epoch
+    /// loop records shard by shard; sort with
     /// [`SpanLog::canonical_sort`](picos_metrics::span::SpanLog::canonical_sort)'s
     /// key when a deterministic order is needed.
     fn drain_events(&mut self, out: &mut Vec<SpanEvent>);

@@ -72,7 +72,40 @@ impl App {
         }
     }
 
+    /// The paper's problem size, which a block size must divide: the
+    /// matrix dimension of the four matrix codes. `None` for H264dec,
+    /// whose macroblock groups cover a frame with partial edge groups.
+    fn problem_size(self) -> Option<u64> {
+        match self {
+            App::Heat => Some(HeatConfig::paper(1).problem_size),
+            App::Lu => Some(LuConfig::paper(1).problem_size),
+            App::SparseLu => Some(SparseLuConfig::paper(1).problem_size),
+            App::Cholesky => Some(CholeskyConfig::paper(1).problem_size),
+            App::H264dec => None,
+        }
+    }
+
+    /// Checks that [`App::generate`] accepts `block_size`: it must be
+    /// positive and divide the application's problem size.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the application and its problem size.
+    pub fn check_block(self, block_size: u64) -> Result<(), String> {
+        match self.problem_size() {
+            _ if block_size == 0 => Err(format!("{self} needs a positive block size")),
+            Some(n) if !n.is_multiple_of(block_size) => Err(format!(
+                "block size {block_size} does not divide {self}'s problem size {n}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Generates the paper-configured trace for a block size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`App::check_block`] rejects `block_size`.
     pub fn generate(self, block_size: u64) -> Trace {
         match self {
             App::Heat => heat(HeatConfig::paper(block_size)),
@@ -93,6 +126,23 @@ impl std::fmt::Display for App {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_block_accepts_exactly_what_generate_accepts() {
+        for app in App::ALL {
+            for bs in app.paper_block_sizes() {
+                assert_eq!(app.check_block(bs), Ok(()), "{app} {bs}");
+            }
+            assert!(app.check_block(0).is_err(), "{app} 0");
+        }
+        let err = App::SparseLu.check_block(48).unwrap_err();
+        assert!(err.contains("problem size 2048"), "{err}");
+        assert!(App::Heat.check_block(3).is_err());
+        // One block covering the whole matrix, and one frame-sized group.
+        assert!(!App::Cholesky.generate(2048).is_empty());
+        assert_eq!(App::H264dec.check_block(1 << 20), Ok(()));
+        assert!(!App::H264dec.generate(1 << 20).is_empty());
+    }
 
     #[test]
     fn all_apps_generate_nonempty() {

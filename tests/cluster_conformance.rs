@@ -6,14 +6,19 @@
 //! testcase and the golden cholesky/sparselu workloads, across all three
 //! DM designs. Any drift in either driver breaks this suite loudly.
 //!
-//! Multi-shard runs cannot be cycle-compared against anything, so they are
-//! pinned on the invariants that must hold for *any* shard count:
-//! TaskGraph-order legality, completeness, and determinism.
+//! Multi-shard runs cannot be cycle-compared against a single Picos, so
+//! they are pinned on the invariants that must hold for *any* shard count:
+//! TaskGraph-order legality, completeness, and determinism. The epoch loop
+//! a plain multi-shard finish drains through is pinned bit-identical to
+//! the serial pump.
 
-use picos_backend::BackendSpec;
-use picos_cluster::{run_cluster_with_stats, ClusterConfig, ShardPolicy};
+use picos_backend::{feed_trace, BackendSpec, SessionConfig};
+use picos_cluster::{
+    run_cluster_with_stats, ClusterConfig, ClusterOutput, ClusterSession, ShardPolicy,
+};
 use picos_core::{DmDesign, PicosConfig};
 use picos_hil::{run_hil_with_stats, HilConfig, HilMode};
+use picos_runtime::session::EventLoopCore;
 use picos_trace::{gen, Trace};
 
 const WORKERS: usize = 12;
@@ -133,97 +138,76 @@ fn cluster_is_deterministic_through_the_backend() {
     assert_eq!(a, b);
 }
 
-/// Thread counts the parallel-engine pins run at. Defaults to every count
-/// in `1..=8`; `CLUSTER_TEST_THREADS=2,8` narrows the sweep (CI runs the
-/// suite twice, once per thread count, with
-/// `PICOS_CLUSTER_FORCE_THREADS=1` so real OS threads are exercised even
-/// on single-core runners).
-fn test_thread_counts() -> Vec<usize> {
-    match std::env::var("CLUSTER_TEST_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("CLUSTER_TEST_THREADS: bad count"))
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    }
+/// The serial reference of a cluster run: the session's pump driven to
+/// quiescence (`drive_finish`) before the finish, so the epoch loop that
+/// a plain finish drains through finds nothing left to do.
+fn serial_cluster_output(
+    trace: &Trace,
+    cfg: &ClusterConfig,
+    session: SessionConfig,
+) -> ClusterOutput {
+    let mut s = ClusterSession::new(cfg.clone(), session).expect("cluster opens");
+    feed_trace(&mut s, trace).expect("unbounded window cannot stall");
+    s.drive_finish();
+    s.into_output().expect("serial reference completes")
 }
 
 #[test]
 fn parallel_engine_is_bit_identical_on_every_golden_workload() {
-    // The conservative-parallel engine must be indistinguishable from the
-    // serial reference — same makespan, same schedule, same per-task
-    // times, same hardware counters — on every golden workload, every DM
-    // design, and every thread count, with threads striding an 8-shard
-    // cluster unevenly (8 % 3 != 0) as well as exactly.
+    // The epoch loop (the conservative-parallel algorithm, run on one
+    // thread) that a plain finish drains through must be
+    // indistinguishable from the serial pump — same makespan, same
+    // schedule, same per-task times, same hardware counters — on every
+    // golden workload and every DM design, at 8 shards.
     for (label, trace) in golden_workloads() {
         for dm in DmDesign::ALL {
             let cfg = ClusterConfig {
                 picos: PicosConfig::baseline(dm),
                 ..ClusterConfig::balanced(8, WORKERS)
             };
-            let (serial, serial_stats) =
-                run_cluster_with_stats(&trace, &cfg).expect("serial reference completes");
-            for threads in test_thread_counts() {
-                let cfg_t = cfg.clone().with_threads(threads);
-                let (par, par_stats) = run_cluster_with_stats(&trace, &cfg_t)
-                    .unwrap_or_else(|e| panic!("{label} {dm} t{threads}: {e}"));
-                assert_eq!(
-                    par.makespan, serial.makespan,
-                    "{label} {dm} t{threads}: makespan drifted"
-                );
-                assert_eq!(
-                    par.order, serial.order,
-                    "{label} {dm} t{threads}: execution order drifted"
-                );
-                assert_eq!(
-                    par.start, serial.start,
-                    "{label} {dm} t{threads}: start times drifted"
-                );
-                assert_eq!(
-                    par.end, serial.end,
-                    "{label} {dm} t{threads}: end times drifted"
-                );
-                assert_eq!(
-                    par_stats, serial_stats,
-                    "{label} {dm} t{threads}: hardware counters drifted"
-                );
-            }
+            let (serial, serial_stats, ..) =
+                serial_cluster_output(&trace, &cfg, SessionConfig::batch());
+            let (epoch, epoch_stats) = run_cluster_with_stats(&trace, &cfg)
+                .unwrap_or_else(|e| panic!("{label} {dm}: {e}"));
+            assert_eq!(
+                epoch.makespan, serial.makespan,
+                "{label} {dm}: makespan drifted"
+            );
+            assert_eq!(
+                epoch.order, serial.order,
+                "{label} {dm}: execution order drifted"
+            );
+            assert_eq!(
+                epoch.start, serial.start,
+                "{label} {dm}: start times drifted"
+            );
+            assert_eq!(epoch.end, serial.end, "{label} {dm}: end times drifted");
+            assert_eq!(
+                epoch_stats, serial_stats,
+                "{label} {dm}: hardware counters drifted"
+            );
         }
     }
 }
 
 #[test]
 fn parallel_engine_matches_serial_with_attached_timelines() {
-    // Timed sessions probe global state mid-run, so the cluster falls
-    // back to the serial engine whenever a sampler is attached; the
-    // telemetry (and everything else) of a threads-N run must therefore
-    // equal the serial run exactly. This pins the fallback: if the
-    // parallel engine ever runs under a sampler and skews a window, this
-    // breaks.
-    use picos_backend::SessionConfig;
+    // Timed sessions probe global state at window boundaries, and the
+    // epoch loop plans an epoch at every boundary; the telemetry (and
+    // everything else) of the epoch drain must equal the serial pump's
+    // exactly. If an epoch ever ran across a boundary and skewed a
+    // window, this breaks.
     let trace = gen::stream(gen::StreamConfig::heavy(600));
-    let cfg = SessionConfig {
-        timeline_window: Some(1_000),
-        ..SessionConfig::batch()
-    };
-    let run = |threads: usize| {
-        BackendSpec::Cluster(4)
-            .builder(WORKERS)
-            .threads(Some(threads))
-            .build()
-            .run_with_telemetry(&trace, cfg)
-            .expect("cluster completes")
-    };
-    let serial = run(1);
-    for threads in [2usize, 4] {
-        let par = run(threads);
-        assert_eq!(par.report, serial.report, "t{threads}: report drifted");
-        assert_eq!(par.stats, serial.stats, "t{threads}: counters drifted");
-        assert_eq!(
-            par.timeline, serial.timeline,
-            "t{threads}: telemetry drifted"
-        );
-    }
+    let session = SessionConfig::timed(1_000);
+    let cfg = ClusterConfig::balanced(4, WORKERS);
+    let serial = serial_cluster_output(&trace, &cfg, session);
+    let mut s = ClusterSession::new(cfg, session).expect("cluster opens");
+    feed_trace(&mut s, &trace).expect("unbounded window cannot stall");
+    let epoch = s.into_output().expect("cluster completes");
+    assert!(serial.2.is_some(), "a timed session returns its timeline");
+    assert_eq!(epoch.0, serial.0, "report drifted");
+    assert_eq!(epoch.1, serial.1, "counters drifted");
+    assert_eq!(epoch.2, serial.2, "telemetry drifted");
 }
 
 #[test]

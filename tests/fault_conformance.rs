@@ -6,7 +6,7 @@
 //!   nothing must leave every observable of a cluster run untouched:
 //!   makespan, execution order, per-task start/end times, hardware
 //!   counters, telemetry timelines and the metrics registry, on every
-//!   golden workload, DM design and simulation thread count.
+//!   golden workload and DM design.
 //! * **Journal-replay identity** — replaying a [`SessionJournal`] recorded
 //!   from a session's *accepted* ingest stream into a fresh session must
 //!   reproduce the original run bit-for-bit: for batch feeds, for random
@@ -44,25 +44,11 @@ fn golden_workloads() -> Vec<(String, Trace)> {
     out
 }
 
-/// Thread counts the pins run at; `CLUSTER_TEST_THREADS=2,8` narrows the
-/// sweep (CI re-runs the suite that way under
-/// `PICOS_CLUSTER_FORCE_THREADS=1`, so real OS threads are exercised even
-/// on single-core runners).
-fn test_thread_counts() -> Vec<usize> {
-    match std::env::var("CLUSTER_TEST_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("CLUSTER_TEST_THREADS: bad count"))
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    }
-}
-
 #[test]
 fn zero_fault_plan_is_bit_identical_to_no_plan() {
-    // The serial plan-free run is the single reference; zero-fault runs at
-    // every thread count must match it exactly (parallel == serial is
-    // already pinned by cluster_conformance, so one reference suffices).
+    // A zero-fault plan attaches no fault state, so its run drains through
+    // the same epoch loop as the plan-free run and must match it exactly
+    // (epoch == serial is pinned by cluster_conformance).
     for (label, trace) in golden_workloads() {
         for dm in DmDesign::ALL {
             let cfg = ClusterConfig {
@@ -71,34 +57,14 @@ fn zero_fault_plan_is_bit_identical_to_no_plan() {
             };
             let (base, base_stats) =
                 run_cluster_with_stats(&trace, &cfg).expect("plain run completes");
-            for threads in test_thread_counts() {
-                let faulted_cfg = cfg
-                    .clone()
-                    .with_threads(threads)
-                    .with_faults(FaultPlan::new(0xD15EA5E));
-                let (r, stats) = run_cluster_with_stats(&trace, &faulted_cfg)
-                    .unwrap_or_else(|e| panic!("{label} {dm} t{threads}: {e}"));
-                assert_eq!(
-                    r.makespan, base.makespan,
-                    "{label} {dm} t{threads}: makespan drifted"
-                );
-                assert_eq!(
-                    r.order, base.order,
-                    "{label} {dm} t{threads}: order drifted"
-                );
-                assert_eq!(
-                    r.start, base.start,
-                    "{label} {dm} t{threads}: start times drifted"
-                );
-                assert_eq!(
-                    r.end, base.end,
-                    "{label} {dm} t{threads}: end times drifted"
-                );
-                assert_eq!(
-                    stats, base_stats,
-                    "{label} {dm} t{threads}: hardware counters drifted"
-                );
-            }
+            let faulted_cfg = cfg.with_faults(FaultPlan::new(0xD15EA5E));
+            let (r, stats) = run_cluster_with_stats(&trace, &faulted_cfg)
+                .unwrap_or_else(|e| panic!("{label} {dm}: {e}"));
+            assert_eq!(r.makespan, base.makespan, "{label} {dm}: makespan drifted");
+            assert_eq!(r.order, base.order, "{label} {dm}: order drifted");
+            assert_eq!(r.start, base.start, "{label} {dm}: start times drifted");
+            assert_eq!(r.end, base.end, "{label} {dm}: end times drifted");
+            assert_eq!(stats, base_stats, "{label} {dm}: hardware counters drifted");
         }
     }
 }

@@ -34,24 +34,14 @@ const GOLDEN: [(&str, u64, u64, u64); 5] = [
     ("cluster4", 42179, 0x0ec8_f458_4ddd_3d6c, 27131),
 ];
 
-/// The event-loop families in [`GOLDEN`] order. The four-shard cluster is
-/// built twice: with one simulation thread, and with two so `advance_to`
-/// runs the parallel epoch engine (which must pin the same numbers).
+/// The event-loop families in [`GOLDEN`] order.
 fn families() -> Vec<(&'static str, Box<dyn ExecBackend>)> {
-    let mut out: Vec<(&'static str, Box<dyn ExecBackend>)> = BackendSpec::PICOS_ALL
+    BackendSpec::PICOS_ALL
         .into_iter()
         .chain([BackendSpec::Cluster(1), BackendSpec::Cluster(4)])
         .zip(GOLDEN)
-        .map(|(spec, (name, ..))| (name, spec.builder(WORKERS).threads(Some(1)).build()))
-        .collect();
-    out.push((
-        "cluster4",
-        BackendSpec::Cluster(4)
-            .builder(WORKERS)
-            .threads(Some(2))
-            .build(),
-    ));
-    out
+        .map(|(spec, (name, ..))| (name, spec.builder(WORKERS).build()))
+        .collect()
 }
 
 fn stream() -> (Trace, Vec<u64>) {

@@ -129,39 +129,41 @@ fn random_interleavings_are_bit_exact_with_batch() {
     }
 }
 
+/// The serial pump's batch result on a 4-shard cluster: the whole trace
+/// fed, the pump driven to quiescence (`drive_finish`), then finished.
+fn serial_cluster4_batch(trace: &Trace) -> (ExecReport, Option<picos_repro::core::Stats>) {
+    use picos_repro::cluster::ClusterSession;
+    use picos_repro::runtime::session::EventLoopCore;
+    let cfg = ClusterConfig::balanced(4, 8);
+    let mut s = ClusterSession::new(cfg, SessionConfig::batch()).unwrap();
+    feed_trace(&mut s, trace).unwrap();
+    s.drive_finish();
+    Box::new(s).finish().unwrap()
+}
+
 #[test]
 fn parallel_cluster_sessions_are_bit_exact_with_serial_batch() {
-    // The conservative-parallel cluster engine under every session call
-    // pattern, compared against the *serial* engine's batch result: this
-    // pins session bit-exactness and parallel==serial in one assertion.
-    // (Feeds still admit through the serial path; the epoch engine takes
-    // over once the input stream closes or the session jumps time.)
+    // The 4-shard cluster under every session call pattern, compared
+    // against the *serial pump's* batch result. Submits, steps and
+    // advances run the serial pump; the finish drains through the epoch
+    // loop (the conservative-parallel algorithm, run on one thread). This
+    // pins session bit-exactness and epoch == serial in one assertion.
     for trace in workloads() {
-        let serial = BackendSpec::Cluster(4)
-            .build(8, &PicosConfig::balanced())
-            .run_with_stats(&trace)
-            .unwrap();
-        for threads in [2usize, 4] {
-            let backend = BackendSpec::Cluster(4)
-                .builder(8)
-                .picos(&PicosConfig::balanced())
-                .threads(Some(threads))
-                .build();
-            let streamed = drive_one_at_a_time(&*backend, &trace);
+        let serial = serial_cluster4_batch(&trace);
+        let backend = BackendSpec::Cluster(4).build(8, &PicosConfig::balanced());
+        let streamed = drive_one_at_a_time(&*backend, &trace);
+        assert_eq!(
+            serial, streamed,
+            "cluster4 on {}: one-at-a-time diverged from serial batch",
+            trace.name
+        );
+        for seed in [0x5EED, 0xD1CE] {
+            let streamed = drive_randomly(&*backend, &trace, seed);
             assert_eq!(
                 serial, streamed,
-                "cluster t{threads} on {}: one-at-a-time diverged from serial batch",
+                "cluster4 on {} seed {seed:#x}: random interleaving diverged from serial batch",
                 trace.name
             );
-            for seed in [0x5EED, 0xD1CE] {
-                let streamed = drive_randomly(&*backend, &trace, seed);
-                assert_eq!(
-                    serial, streamed,
-                    "cluster t{threads} on {} seed {seed:#x}: random interleaving \
-                     diverged from serial batch",
-                    trace.name
-                );
-            }
         }
     }
 }
@@ -261,21 +263,17 @@ fn drained_spans_are_a_prefix_of_the_finished_log() {
     // span log out incrementally and never shorten it: concatenated, they
     // are a prefix of the finished session's log (finish appends the
     // engine cores' own probe events after it). Every family, plus the
-    // 4-shard cluster on the serial and the parallel engine; windowed
-    // sessions so steps make progress mid-stream.
+    // 4-shard cluster, whose finish drains through the epoch loop;
+    // windowed sessions so steps make progress mid-stream.
     let trace = gen::stream(gen::StreamConfig::heavy(200));
     let mut backends: Vec<(String, Box<dyn ExecBackend>)> = BackendSpec::ALL
         .into_iter()
         .map(|spec| (spec.to_string(), spec.build(8, &PicosConfig::balanced())))
         .collect();
-    for threads in [1usize, 4] {
-        let backend = BackendSpec::Cluster(4)
-            .builder(8)
-            .picos(&PicosConfig::balanced())
-            .threads(Some(threads))
-            .build();
-        backends.push((format!("cluster4 t{threads}"), backend));
-    }
+    backends.push((
+        "cluster4".into(),
+        BackendSpec::Cluster(4).build(8, &PicosConfig::balanced()),
+    ));
     for (label, backend) in &backends {
         for window in [None, Some(8)] {
             let cfg = SessionConfig {

@@ -7,9 +7,9 @@
 //! 1. **Observation only** — opening a session with
 //!    [`SessionConfig::trace_spans`] changes no cycle: report, hardware
 //!    counters and timeline are bit-equal to the untraced run.
-//! 2. **Thread-count independence** — serial and parallel cluster drives
-//!    record the same event multiset; after [`span::SpanLog::canonical_sort`]
-//!    the logs are bit-equal for any thread count.
+//! 2. **Drive independence** — the cluster's serial pump and the epoch
+//!    loop its finish drains through record the same event multiset;
+//!    after [`span::SpanLog::canonical_sort`] the logs are bit-equal.
 //! 3. **Schedule consistency** — per-task `Started`/`Finished` stamps
 //!    equal the [`ExecReport`] start/end arrays, and lifecycle events
 //!    are monotone within each task.
@@ -39,17 +39,22 @@ fn traced(spec: BackendSpec, trace: &Trace) -> SessionOutput {
         .unwrap_or_else(|e| panic!("{spec}: {e}"))
 }
 
-/// The canonical log of one cluster run at a given thread count.
-fn cluster_log(trace: &Trace, shards: usize, threads: usize) -> SpanLog {
-    let backend = BackendSpec::Cluster(shards)
-        .builder(8)
-        .picos(&PicosConfig::balanced())
-        .threads(Some(threads))
-        .build();
-    let mut log = backend
-        .run_with_telemetry(trace, SessionConfig::batch().with_spans())
+/// The canonical log of one cluster run, drained by the serial pump
+/// (`drive_finish` before the finish) or by the epoch loop a plain finish
+/// takes.
+fn cluster_log(trace: &Trace, shards: usize, serial: bool) -> SpanLog {
+    use picos_repro::cluster::ClusterSession;
+    use picos_repro::runtime::session::EventLoopCore;
+    let cfg = ClusterConfig::balanced(shards, 8);
+    let mut s = ClusterSession::new(cfg, SessionConfig::batch().with_spans()).unwrap();
+    feed_trace(&mut s, trace).unwrap();
+    if serial {
+        s.drive_finish();
+    }
+    let mut log = s
+        .into_output()
         .unwrap()
-        .spans
+        .4
         .expect("span tracing was requested");
     log.canonical_sort();
     log
@@ -96,17 +101,15 @@ fn spans_are_observation_only_everywhere() {
 }
 
 #[test]
-fn cluster_span_logs_are_thread_count_independent() {
+fn cluster_span_logs_are_drive_independent() {
     let trace = gen::sparselu(gen::SparseLuConfig::paper(128));
-    let serial = cluster_log(&trace, 4, 1);
+    let serial = cluster_log(&trace, 4, true);
     assert!(!serial.is_empty());
-    for threads in [2, 4] {
-        let par = cluster_log(&trace, 4, threads);
-        assert_eq!(
-            par, serial,
-            "canonical span logs differ between 1 and {threads} threads"
-        );
-    }
+    assert_eq!(
+        cluster_log(&trace, 4, false),
+        serial,
+        "canonical span logs differ between the serial pump and the epoch loop"
+    );
 }
 
 #[test]
@@ -247,11 +250,11 @@ fn perfetto_export_roundtrips_through_the_in_tree_codec() {
             edges.push((t, s));
         }
     }
-    let render = |threads: usize| {
-        let log = cluster_log(&trace, 2, threads);
+    let render = |serial: bool| {
+        let log = cluster_log(&trace, 2, serial);
         span::to_perfetto_json(&log, &edges)
     };
-    let json = render(1);
+    let json = render(true);
     let root = parse_json(&json).expect("export must be valid JSON");
     let events = root
         .as_obj()
@@ -292,8 +295,8 @@ fn perfetto_export_roundtrips_through_the_in_tree_codec() {
             "missing process track {expected}: {process_names:?}"
         );
     }
-    // Canonically sorted logs render byte-identically for any thread count.
-    assert_eq!(render(2), json, "export must be thread-count independent");
+    // Canonically sorted logs render byte-identically whichever drive ran.
+    assert_eq!(render(false), json, "export must be drive independent");
 }
 
 #[test]

@@ -221,7 +221,7 @@ fn sweep_cells_record_timelines() {
     }
     let csv = result.timelines_csv();
     assert!(csv.starts_with(
-        "workload,block_size,backend,workers,dm,instances,shards,threads,\
+        "workload,block_size,backend,workers,dm,instances,shards,\
          window_start,window_end,series,value\n"
     ));
     assert!(csv.contains("cholesky,256,picos-hw-only,4"));
