@@ -33,7 +33,10 @@ use crate::service::{schedule_digest, TenantSpec};
 use crate::service::{Scrape, ServeConfig, ServeError, Service, SubmitOutcome, TenantStats};
 use picos_backend::SessionOutput;
 use picos_metrics::span::{events_to_json, SpanEvent};
-use picos_trace::{json_escape, parse_json, task_from_value, task_to_json, TaskDescriptor, Value};
+use picos_trace::{
+    json_escape, parse_json, task_to_json, JsonError, JsonReader, TaskDescriptor, TaskFields, Value,
+};
+use std::borrow::Cow;
 
 /// One parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,47 +154,49 @@ impl Request {
         }
     }
 
-    /// Parses one protocol line.
+    /// Parses one protocol line in one pass over a [`JsonReader`]. No
+    /// [`Value`] tree is built except `open`'s `spec`.
+    ///
+    /// Members are collected as they come: a duplicate key keeps its last
+    /// value, and an unknown key is syntax-checked, then ignored. The
+    /// semantic checks run only after the whole line has read as JSON, so
+    /// a syntax error anywhere on the line is the error reported.
     ///
     /// # Errors
     ///
     /// Returns a message suitable for an error response.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = parse_json(line).map_err(|e| format!("bad request JSON: {e}"))?;
-        let obj = v.as_obj().ok_or("request must be a JSON object")?;
-        let cmd = obj
-            .get("cmd")
-            .and_then(Value::as_string)
-            .ok_or("request needs a \"cmd\" string")?;
-        let tenant = || -> Result<String, String> {
-            obj.get("tenant")
-                .and_then(Value::as_string)
-                .map(str::to_string)
-                .ok_or_else(|| format!("\"{cmd}\" needs a \"tenant\" string"))
+        let members = Members::read(line).map_err(|e| format!("bad request JSON: {e}"))?;
+        let Members {
+            cmd,
+            tenant: name,
+            task,
+            cycle,
+            spec,
+        } = members.ok_or("request must be a JSON object")?;
+        let cmd = cmd.ok_or("request needs a \"cmd\" string")?;
+        let tenant = || match &name {
+            Some(Some(t)) => Ok(t.to_string()),
+            _ => Err(format!("\"{cmd}\" needs a \"tenant\" string")),
         };
-        match cmd {
+        match &*cmd {
             "open" => {
-                let spec = obj.get("spec").ok_or("\"open\" needs a \"spec\" object")?;
+                let spec = spec.ok_or("\"open\" needs a \"spec\" object")?;
                 Ok(Request::Open {
                     tenant: tenant()?,
-                    spec: TenantSpec::from_value(spec)?,
+                    spec: TenantSpec::from_value(&spec)?,
                 })
             }
             "submit" => {
-                let task = obj
-                    .get("task")
-                    .ok_or("\"submit\" needs a \"task\" object")?;
+                let task = task.ok_or("\"submit\" needs a \"task\" object")?;
                 Ok(Request::Submit {
                     tenant: tenant()?,
-                    task: task_from_value(task, 0).map_err(|e| format!("bad task: {e}"))?,
+                    task: task.check().map_err(|e| format!("bad task: {e}"))?,
                 })
             }
             "barrier" => Ok(Request::Barrier { tenant: tenant()? }),
             "advance" => {
-                let cycle = obj
-                    .get("cycle")
-                    .and_then(Value::as_int)
-                    .ok_or("\"advance\" needs an integer \"cycle\"")?;
+                let cycle = cycle.ok_or("\"advance\" needs an integer \"cycle\"")?;
                 Ok(Request::Advance {
                     tenant: tenant()?,
                     cycle,
@@ -200,16 +205,67 @@ impl Request {
             "drain-events" => Ok(Request::DrainEvents { tenant: tenant()? }),
             "stats" => Ok(Request::Stats { tenant: tenant()? }),
             "scrape" => Ok(Request::Scrape),
+            // Only an absent `tenant` means every tenant.
             "checkpoint" => Ok(Request::Checkpoint {
-                tenant: obj
-                    .get("tenant")
-                    .and_then(Value::as_string)
-                    .map(str::to_string),
+                tenant: match name {
+                    None => None,
+                    Some(_) => Some(tenant()?),
+                },
             }),
             "close" => Ok(Request::Close { tenant: tenant()? }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown command {other:?}")),
         }
+    }
+}
+
+/// A request line's members as read, before the semantic checks.
+#[derive(Default)]
+struct Members<'a> {
+    /// `cmd`, if it is a string.
+    cmd: Option<Cow<'a, str>>,
+    /// `tenant`: `None` when absent, `Some(None)` when not a string.
+    tenant: Option<Option<Cow<'a, str>>>,
+    task: Option<TaskFields>,
+    /// `cycle`, if it is a non-negative integer.
+    cycle: Option<u64>,
+    spec: Option<Value>,
+}
+
+impl<'a> Members<'a> {
+    /// Reads a whole line: `None` if it is JSON but not an object.
+    fn read(line: &'a str) -> Result<Option<Members<'a>>, JsonError> {
+        let mut r = JsonReader::new(line);
+        if r.peek() != Some(b'{') {
+            r.value()?;
+            r.end()?;
+            return Ok(None);
+        }
+        let mut m = Members::default();
+        r.object(|r, key| {
+            match &*key {
+                "cmd" => m.cmd = string(r)?,
+                "tenant" => m.tenant = Some(string(r)?),
+                "task" => m.task = Some(TaskFields::read(r, 0)?),
+                "cycle" => m.cycle = r.value()?.as_int(),
+                "spec" => m.spec = Some(r.value()?),
+                _ => {
+                    r.value()?;
+                }
+            }
+            Ok(())
+        })?;
+        r.end()?;
+        Ok(Some(m))
+    }
+}
+
+/// Reads one value: its text if it is a string, `None` if it is not.
+fn string<'a>(r: &mut JsonReader<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if r.peek() == Some(b'"') {
+        r.string().map(Some)
+    } else {
+        r.value().map(|_| None)
     }
 }
 

@@ -310,6 +310,44 @@ fn wire_checkpoint_command_round_trips() {
     );
 }
 
+/// A `checkpoint` whose `tenant` is present but not a string is refused
+/// and checkpoints nothing. Only an absent `tenant` means every tenant.
+#[test]
+fn wire_checkpoint_with_a_non_string_tenant_checkpoints_nothing() {
+    let dir = scratch("wire-bad-tenant");
+    let mut h = ServeHandle::new(ServeConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    for name in ["a", "b"] {
+        let open = Request::Open {
+            tenant: name.into(),
+            spec: TenantSpec::new(BackendSpec::Perfect, 2),
+        };
+        assert_eq!(h.handle_line(&open.to_line()), "{\"ok\":true}");
+    }
+    let refused = "{\"ok\":false,\"error\":\"\\\"checkpoint\\\" needs a \\\"tenant\\\" string\"}";
+    for tenant in ["7", "null", "[\"a\"]", "{\"name\":\"a\"}", "true"] {
+        let line = format!("{{\"cmd\":\"checkpoint\",\"tenant\":{tenant}}}");
+        assert_eq!(h.handle_line(&line), refused, "{line}");
+        // The last value of a duplicate key decides.
+        let line = format!("{{\"cmd\":\"checkpoint\",\"tenant\":\"a\",\"tenant\":{tenant}}}");
+        assert_eq!(h.handle_line(&line), refused, "{line}");
+    }
+    for name in ["a", "b"] {
+        assert!(
+            !dir.join(format!("{name}.checkpoint.json")).exists(),
+            "{name} was checkpointed"
+        );
+    }
+    assert_eq!(
+        h.handle_line("{\"cmd\":\"checkpoint\"}"),
+        "{\"ok\":true,\"checkpointed\":2}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Rewrites `placement[0]` of a cluster snapshot state to a value no
 /// `u16` shard index can hold. The cluster session record opens with the
 /// config fingerprint, three attachment flags, the shard cores, worker

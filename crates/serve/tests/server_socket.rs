@@ -6,7 +6,8 @@
 
 use picos_backend::{Admission, BackendSpec};
 use picos_serve::{schedule_digest, serve, Request, ServeConfig, Service, TenantSpec};
-use picos_trace::{gen, Value};
+use picos_trace::rng::SplitMix64;
+use picos_trace::{gen, task_to_json, Trace, Value, MAX_JSON_DEPTH};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -74,18 +75,11 @@ fn field(v: &Value, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("response misses {name}: {v:?}"))
 }
 
-/// Full protocol conversation over a real socket: open, submit a whole
-/// trace, poll stats until drained, close — and the wire digest matches
-/// the identical solo session bit-exactly.
-#[test]
-fn socket_session_matches_solo() {
-    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
-    let mut c = Client::connect(server.addr());
-    let spec = TenantSpec::new(BackendSpec::Nanos, 4);
-    let trace = gen::stream(gen::StreamConfig::heavy(40));
-
+/// Runs one tenant's whole conversation over `c`: open, submit every task
+/// of `trace`, drain, check the stats, close. Returns the close response.
+fn run_tenant(c: &mut Client, tenant: &str, spec: &TenantSpec, trace: &Trace) -> Value {
     c.call_ok(&Request::Open {
-        tenant: "wire".into(),
+        tenant: tenant.into(),
         spec: spec.clone(),
     });
     for task in trace.iter() {
@@ -93,7 +87,7 @@ fn socket_session_matches_solo() {
         // backpressure (if any) resolves by retrying.
         loop {
             let v = c.call_ok(&Request::Submit {
-                tenant: "wire".into(),
+                tenant: tenant.into(),
                 task: task.clone(),
             });
             let outcome = v
@@ -111,11 +105,11 @@ fn socket_session_matches_solo() {
     // clock (the scheduler alone never advances a non-blocked session —
     // that is the determinism invariant).
     c.call_ok(&Request::Advance {
-        tenant: "wire".into(),
+        tenant: tenant.into(),
         cycle: 1 << 40,
     });
     let v = c.call_ok(&Request::Stats {
-        tenant: "wire".into(),
+        tenant: tenant.into(),
     });
     let stats = v.as_obj().unwrap().get("stats").unwrap();
     assert_eq!(field(stats, "submitted"), trace.len() as u64);
@@ -124,11 +118,14 @@ fn socket_session_matches_solo() {
         0,
         "advance must drain the tenant"
     );
-    let closed = c.call_ok(&Request::Close {
-        tenant: "wire".into(),
-    });
+    c.call_ok(&Request::Close {
+        tenant: tenant.into(),
+    })
+}
 
-    // Solo reference for the bit-exactness digest.
+/// Checks a close response against the identical solo session,
+/// bit-exactly.
+fn assert_matches_solo(closed: &Value, spec: &TenantSpec, trace: &Trace) {
     let backend = spec.build_backend();
     let cfg = spec.effective_session_config(ServeConfig::default().default_quota);
     let mut solo = backend.open_with(cfg).unwrap();
@@ -136,10 +133,22 @@ fn socket_session_matches_solo() {
         assert_eq!(solo.submit(task), Admission::Accepted);
     }
     let (report, _) = solo.finish().unwrap();
-    assert_eq!(field(&closed, "tasks"), trace.len() as u64);
-    assert_eq!(field(&closed, "makespan"), report.makespan);
-    assert_eq!(field(&closed, "digest"), schedule_digest(&report));
+    assert_eq!(field(closed, "tasks"), trace.len() as u64);
+    assert_eq!(field(closed, "makespan"), report.makespan);
+    assert_eq!(field(closed, "digest"), schedule_digest(&report));
+}
 
+/// Full protocol conversation over a real socket: open, submit a whole
+/// trace, poll stats until drained, close — and the wire digest matches
+/// the identical solo session bit-exactly.
+#[test]
+fn socket_session_matches_solo() {
+    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr());
+    let spec = TenantSpec::new(BackendSpec::Nanos, 4);
+    let trace = gen::stream(gen::StreamConfig::heavy(40));
+    let closed = run_tenant(&mut c, "wire", &spec, &trace);
+    assert_matches_solo(&closed, &spec, &trace);
     server.shutdown().unwrap();
 }
 
@@ -350,4 +359,171 @@ fn a_client_that_never_reads_is_pushed_back_and_cannot_hang_shutdown() {
     .unwrap();
     assert_eq!(recovered.journal("t").unwrap().submitted(), trace.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Request lines the server must refuse, drawn from SplitMix64: random
+/// bytes, truncated lines, nesting past [`MAX_JSON_DEPTH`], numbers no
+/// integer slot holds, and members of the wrong type. A line that names
+/// a tenant names `tenant`, which none of them may touch. No line is
+/// blank or holds a newline.
+fn garbage(seed: u64, n: usize, tenant: &str, spec: &TenantSpec, trace: &Trace) -> Vec<Vec<u8>> {
+    let mut rng = SplitMix64::new(seed);
+    let name = format!("\"{tenant}\"");
+    let mut task = String::new();
+    task_to_json(&mut task, &trace.tasks()[0]);
+    let object = |members: &[(&str, &str)]| {
+        let body: Vec<String> = members
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        format!("{{{}}}", body.join(","))
+    };
+    // Valid lines, each member tagged with its JSON type.
+    let spec = spec.to_json();
+    let templates: Vec<Vec<(&str, &str, char)>> = vec![
+        vec![
+            ("cmd", "\"open\"", 's'),
+            ("tenant", &name, 's'),
+            ("spec", &spec, 'o'),
+        ],
+        vec![
+            ("cmd", "\"submit\"", 's'),
+            ("tenant", &name, 's'),
+            ("task", &task, 'o'),
+        ],
+        vec![
+            ("cmd", "\"advance\"", 's'),
+            ("tenant", &name, 's'),
+            ("cycle", "7", 'i'),
+        ],
+        vec![("cmd", "\"barrier\"", 's'), ("tenant", &name, 's')],
+        vec![("cmd", "\"stats\"", 's'), ("tenant", &name, 's')],
+        vec![("cmd", "\"checkpoint\"", 's'), ("tenant", &name, 's')],
+        vec![("cmd", "\"close\"", 's'), ("tenant", &name, 's')],
+        vec![("cmd", "\"shutdown\"", 's')],
+    ];
+    let render = |t: &[(&str, &str, char)]| {
+        let members: Vec<(&str, &str)> = t.iter().map(|&(k, v, _)| (k, v)).collect();
+        object(&members)
+    };
+    const WRONG: [(&str, char); 7] = [
+        ("7", 'i'),
+        ("null", 'n'),
+        ("true", 'b'),
+        ("[]", 'a'),
+        ("{}", 'o'),
+        ("\"x\"", 's'),
+        ("1.5", 'f'),
+    ];
+    const NOT_U64: [&str; 7] = [
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "-1",
+        "-0",
+        "1.5",
+        "1e3",
+        "1e999",
+    ];
+    let mut out = Vec::new();
+    while out.len() < n {
+        let pick = |rng: &mut SplitMix64, len: usize| rng.below(len as u64) as usize;
+        let line: Vec<u8> = match rng.below(5) {
+            0 => (0..rng.range_usize(1, 200))
+                .map(|_| rng.below(256) as u8)
+                .filter(|&b| b != b'\n')
+                .collect(),
+            1 => {
+                let t = render(&templates[pick(&mut rng, templates.len())]);
+                t.as_bytes()[..rng.range_usize(1, t.len() - 1)].to_vec()
+            }
+            2 => {
+                let depth = rng.range_usize(MAX_JSON_DEPTH, 4 * MAX_JSON_DEPTH);
+                let nested = "[".repeat(depth) + "0" + &"]".repeat(depth);
+                object(&[("cmd", "\"submit\""), ("tenant", &name), ("task", &nested)]).into_bytes()
+            }
+            3 => {
+                let num = NOT_U64[pick(&mut rng, NOT_U64.len())];
+                let task = match rng.below(5) {
+                    0 => format!("{{\"id\":{num},\"duration\":1,\"deps\":[]}}"),
+                    1 => "{\"id\":4294967296,\"duration\":1,\"deps\":[]}".to_string(),
+                    2 => "{\"id\":0,\"kernel\":65536,\"duration\":1,\"deps\":[]}".to_string(),
+                    3 => format!("{{\"id\":0,\"duration\":{num},\"deps\":[]}}"),
+                    _ => format!(
+                        "{{\"id\":0,\"duration\":1,\"deps\":[{{\"addr\":{num},\"dir\":\"in\"}}]}}"
+                    ),
+                };
+                if rng.bool(0.3) {
+                    object(&[("cmd", "\"advance\""), ("tenant", &name), ("cycle", num)])
+                } else {
+                    object(&[("cmd", "\"submit\""), ("tenant", &name), ("task", &task)])
+                }
+                .into_bytes()
+            }
+            _ => {
+                let mut t = templates[pick(&mut rng, templates.len())].clone();
+                let m = pick(&mut rng, t.len());
+                let wrong = loop {
+                    let (v, kind) = WRONG[pick(&mut rng, WRONG.len())];
+                    if kind != t[m].2 {
+                        break v;
+                    }
+                };
+                t[m].1 = wrong;
+                render(&t).into_bytes()
+            }
+        };
+        if !String::from_utf8_lossy(&line).trim().is_empty() {
+            out.push(line);
+        }
+    }
+    out
+}
+
+/// One connection sends SplitMix64 garbage while a second runs a valid
+/// tenant's whole conversation. Every garbage line is answered with
+/// exactly one `ok:false` line, the server keeps serving, and the valid
+/// tenant closes with its solo digest.
+#[test]
+fn garbage_on_one_connection_leaves_a_valid_tenant_bit_exact() {
+    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    let spec = TenantSpec::new(BackendSpec::Nanos, 4);
+    let trace = gen::stream(gen::StreamConfig::heavy(40));
+    let lines = garbage(19, 2000, "valid", &spec, &trace);
+
+    let closed = std::thread::scope(|s| {
+        let valid = s.spawn(|| {
+            let mut c = Client::connect(addr);
+            // A missing answer fails the test instead of hanging it.
+            c.writer
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            run_tenant(&mut c, "valid", &spec, &trace)
+        });
+
+        let mut g = Client::connect(addr);
+        g.writer
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = g.writer.try_clone().unwrap();
+        let n = lines.len();
+        let sender = s.spawn(move || {
+            for line in &lines {
+                writer.write_all(line).unwrap();
+                writer.write_all(b"\n").unwrap();
+            }
+        });
+        for i in 0..n {
+            let v = g.response();
+            let ok = v.as_obj().and_then(|o| o.get("ok"));
+            assert_eq!(ok, Some(&Value::Bool(false)), "garbage line {i}: {v:?}");
+        }
+        sender.join().unwrap();
+        // The garbage connection itself is still served, and its next
+        // answer is this one's: no garbage line was answered twice.
+        g.call_ok(&Request::Scrape);
+        valid.join().unwrap()
+    });
+    assert_matches_solo(&closed, &spec, &trace);
+    server.shutdown().unwrap();
 }

@@ -1,4 +1,5 @@
-//! Hand-rolled JSON encoding for [`Trace`].
+//! Hand-rolled JSON: the workspace's one reader ([`JsonReader`]) and the
+//! encoding for [`Trace`].
 //!
 //! The build environment has no crates.io access, so instead of `serde` the
 //! trace format is written and parsed by this small module. The format is
@@ -16,8 +17,9 @@
 //! }
 //! ```
 
-use crate::task::{Dependence, Direction, KernelClass, TaskDescriptor, TaskId};
+use crate::task::{Dependence, Direction, KernelClass, TaskDescriptor, TaskId, MAX_DEPS_PER_TASK};
 use crate::trace::Trace;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -94,67 +96,6 @@ pub fn task_to_json(out: &mut String, t: &TaskDescriptor) {
         ));
     }
     out.push_str("]}");
-}
-
-/// Decodes one task descriptor from its parsed JSON object. `i` labels
-/// errors ("task {i} ..."); the caller checks id ordering and kernel-table
-/// bounds where those constraints apply.
-pub fn task_from_value(tv: &Value, i: usize) -> Result<TaskDescriptor, JsonError> {
-    let Value::Obj(t) = tv else {
-        return Err(bad(format!("task {i} must be an object")));
-    };
-    let id = as_u64(
-        t.get("id").ok_or_else(|| bad("task missing id"))?,
-        "task id",
-    )?;
-    if id > u32::MAX as u64 {
-        return Err(bad(format!("task {i} id {id} exceeds 32 bits")));
-    }
-    let kernel = as_u64(t.get("kernel").unwrap_or(&Value::Int(0)), "task kernel")?;
-    if kernel > u16::MAX as u64 {
-        return Err(bad(format!("task {i} kernel {kernel} out of range")));
-    }
-    let duration = as_u64(
-        t.get("duration")
-            .ok_or_else(|| bad("task missing duration"))?,
-        "task duration",
-    )?;
-    let mut deps = Vec::new();
-    for dv in as_arr(t.get("deps"), "task deps")? {
-        let Value::Obj(d) = dv else {
-            return Err(bad(format!("dependence of task {i} must be an object")));
-        };
-        let addr = as_u64(
-            d.get("addr").ok_or_else(|| bad("dep missing addr"))?,
-            "dep addr",
-        )?;
-        let dir = match as_str(
-            d.get("dir").ok_or_else(|| bad("dep missing dir"))?,
-            "dep dir",
-        )? {
-            "in" => Direction::In,
-            "out" => Direction::Out,
-            "inout" => Direction::InOut,
-            other => return Err(bad(format!("unknown dependence direction '{other}'"))),
-        };
-        deps.push(Dependence::new(addr, dir));
-    }
-    if deps.len() > crate::task::MAX_DEPS_PER_TASK {
-        return Err(bad(format!(
-            "task {i} has {} dependences, hardware limit is {}",
-            deps.len(),
-            crate::task::MAX_DEPS_PER_TASK
-        )));
-    }
-    // TaskDescriptor::new re-merges duplicate addresses, which is a
-    // no-op for encoder-produced JSON and a sanitizer for hand-written
-    // inputs.
-    Ok(TaskDescriptor::new(
-        TaskId::new(id as u32),
-        KernelClass(kernel as u16),
-        deps,
-        duration,
-    ))
 }
 
 /// Encodes a trace to a JSON string.
@@ -255,21 +196,43 @@ impl Value {
     }
 }
 
-/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// Deepest array/object nesting a [`JsonReader`] accepts. The reader
 /// recurses once per level, so without a cap one line of `[`s overflows
 /// the stack and aborts the process; past the cap it returns a
 /// [`JsonError`] instead. In-tree documents stay far below it (a 4-shard
 /// cluster snapshot nests 10 levels, a trace file 5).
 pub const MAX_JSON_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document: the workspace's only JSON
+/// tokenizer and grammar.
+///
+/// [`parse_json`] is [`value`](JsonReader::value) then
+/// [`end`](JsonReader::end). A typed decoder walks the document member by
+/// member instead and builds no [`Value`] tree: the serve wire protocol
+/// decodes requests this way, and [`TaskFields::read`] decodes a task
+/// object.
+///
+/// Each reading method consumes exactly one JSON value at the current
+/// position, after any whitespace. Errors carry the byte offset where the
+/// problem was found. After an error the reader is spent.
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader positioned at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError {
             message: message.into(),
@@ -278,7 +241,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -287,9 +250,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&mut self) -> Option<u8> {
+    /// The first byte of the next value (or delimiter), skipping
+    /// whitespace and consuming nothing else; `None` at the end of the
+    /// input. A typed decoder uses it to tell a value's type before
+    /// choosing how to read it.
+    pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -301,11 +268,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// Reads one value of any type into a [`Value`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at the first malformed byte.
+    pub fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| {
+                    let v = r.value()?;
+                    map.insert(key.into_owned(), v);
+                    Ok(())
+                })?;
+                Ok(Value::Obj(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -314,20 +301,162 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses one array or object one level deeper, refusing to pass
-    /// [`MAX_JSON_DEPTH`].
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+    /// Consumes the `[` or `{` that opens a value one level deeper,
+    /// refusing to pass [`MAX_JSON_DEPTH`].
+    fn open(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() != Some(b) {
+            return self.err(format!("expected '{}'", b as char));
+        }
         if self.depth == MAX_JSON_DEPTH {
             return self.err(format!("nesting deeper than {MAX_JSON_DEPTH} levels"));
         }
+        self.pos += 1;
         self.depth += 1;
-        let v = f(self);
+        Ok(())
+    }
+
+    /// Consumes the `]` or `}` of the innermost open value if it is next.
+    fn close(&mut self, b: u8) -> bool {
+        if self.peek() != Some(b) {
+            return false;
+        }
+        self.pos += 1;
         self.depth -= 1;
-        v
+        true
+    }
+
+    /// Reads one object, calling `member` with each key in document order.
+    /// `member` must read exactly that member's value. A key that appears
+    /// twice is passed twice; a decoder that keeps the last value agrees
+    /// with [`Value::Obj`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of the syntax or of `member`.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open(b'{')?;
+        if self.close(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            member(self, key)?;
+            if self.close(b'}') {
+                return Ok(());
+            }
+            if self.peek() != Some(b',') {
+                return self.err("expected ',' or '}'");
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Reads one array, calling `item` once per element, which it must
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of the syntax or of `item`.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open(b'[')?;
+        if self.close(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if self.close(b']') {
+                return Ok(());
+            }
+            if self.peek() != Some(b',') {
+                return self.err("expected ',' or ']'");
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Reads one string. The result borrows the input unless the string
+    /// contains escapes; each unescaped run is copied as one slice.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] if the next value is not a well-formed
+    /// string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let text = self.text;
+        let mut owned: Option<String> = None;
+        loop {
+            let run = self.pos;
+            let Some(n) = text.as_bytes()[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = text.len();
+                return self.err("unterminated string");
+            };
+            // Both stop bytes are ASCII, so `run + n` is a char boundary.
+            let piece = &text[run..run + n];
+            self.pos = run + n + 1;
+            if text.as_bytes()[run + n] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(piece),
+                    Some(mut s) => {
+                        s.push_str(piece);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let c = self.escape()?;
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(piece);
+            s.push(c);
+        }
+    }
+
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let Some(&e) = self.text.as_bytes().get(self.pos) else {
+            return self.err("unterminated escape");
+        };
+        self.pos += 1;
+        Ok(match e {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                // Exactly four hex digits: `from_str_radix` alone would
+                // also take a sign.
+                let code = self
+                    .text
+                    .get(self.pos..self.pos + 4)
+                    .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|h| u32::from_str_radix(h, 16).ok());
+                let Some(code) = code else {
+                    return self.err("invalid \\u escape");
+                };
+                self.pos += 4;
+                // Surrogate pairs are not needed for trace names; map lone
+                // surrogates to the replacement char.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return self.err("unknown escape"),
+        })
     }
 
     fn literal(&mut self, text: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(v)
         } else {
@@ -335,19 +464,32 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads a number. A plain digit run is accumulated as it is scanned;
+    /// a sign, fraction, exponent or `u64` overflow falls back to parsing
+    /// the scanned text, which keeps `Int` exact and sends the rest to
+    /// `f64`.
     fn number(&mut self) -> Result<Value, JsonError> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        let mut exact = Some(0u64);
+        if bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+            exact = None;
+        }
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {
+                    exact = exact.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+                }
+                b'.' | b'e' | b'E' | b'+' | b'-' => exact = None,
+                _ => break,
+            }
             self.pos += 1;
         }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        if let Some(n) = exact {
+            return Ok(Value::Int(n));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        let text = &self.text[start..self.pos];
         if let Ok(n) = text.parse::<u64>() {
             return Ok(Value::Int(n));
         }
@@ -357,136 +499,36 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return self.err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex else {
-                                return self.err("invalid \\u escape");
-                            };
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for trace names;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let end = (start + len).min(self.bytes.len());
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => {
-                            out.push_str(s);
-                            self.pos = end;
-                        }
-                        Err(_) => return self.err("invalid UTF-8 in string"),
-                    }
-                }
-            }
+    /// Checks that only whitespace follows the value read.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at the first trailing character.
+    pub fn end(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.err("trailing characters after JSON value");
         }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
+        Ok(())
     }
 }
 
-/// Parses one complete JSON document into a [`Value`] tree.
+/// Parses one complete JSON document into a [`Value`] tree: a
+/// [`JsonReader`]'s `value()` then `end()`.
 ///
-/// This is the workspace's only JSON reader (the build environment has no
-/// `serde`), so every in-tree JSON emitter — trace files, the session
-/// journal, the Perfetto span export — validates its output through this
-/// entry. Rejects trailing characters after the document and nesting
-/// deeper than [`MAX_JSON_DEPTH`].
+/// The reader is the workspace's only JSON reader (the build environment
+/// has no `serde`), so every in-tree JSON emitter — trace files, the
+/// session journal, the Perfetto span export — validates its output
+/// through this entry. Rejects trailing characters after the document and
+/// nesting deeper than [`MAX_JSON_DEPTH`].
 ///
 /// # Errors
 ///
 /// Returns a [`JsonError`] locating the first malformed byte.
 pub fn parse_json(s: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing characters after JSON value");
-    }
+    let mut r = JsonReader::new(s);
+    let v = r.value()?;
+    r.end()?;
     Ok(v)
 }
 
@@ -526,6 +568,255 @@ pub(crate) fn as_arr<'v>(v: Option<&'v Value>, what: &str) -> Result<&'v [Value]
         None => Err(bad(format!("missing field {what}"))),
         _ => Err(bad(format!("{what} must be an array"))),
     }
+}
+
+/// One member of an object as a decoder's checks see it.
+#[derive(Debug, Clone)]
+enum Member<T> {
+    /// The key is absent.
+    Missing,
+    /// The key's value has the wrong type.
+    Wrong,
+    /// The key's value, of the right type.
+    Is(T),
+}
+
+impl<T> Member<T> {
+    fn get(self, missing: &str, wrong: &str) -> Result<T, JsonError> {
+        match self {
+            Member::Missing => Err(bad(missing)),
+            Member::Wrong => Err(bad(wrong)),
+            Member::Is(v) => Ok(v),
+        }
+    }
+}
+
+fn int_member(v: Option<&Value>) -> Member<u64> {
+    match v {
+        None => Member::Missing,
+        Some(Value::Int(n)) => Member::Is(*n),
+        Some(_) => Member::Wrong,
+    }
+}
+
+/// A task object's members as read, before the task checks run.
+///
+/// Both task decoders fill one: [`task_from_value`] from a parsed tree
+/// (journals, trace files) and [`TaskFields::read`] straight from a
+/// [`JsonReader`] (the serve wire protocol). So the checks, their order
+/// and their messages exist once, in [`TaskFields::check`]. A key that
+/// appears twice keeps its last value, as in a parsed object.
+#[derive(Debug, Clone)]
+pub struct TaskFields {
+    /// The task's position, `i` in "task {i} ..." messages.
+    i: usize,
+    /// Whether the value was an object; every other member is `Missing`
+    /// when it was not.
+    object: bool,
+    id: Member<u64>,
+    kernel: Member<u64>,
+    duration: Member<u64>,
+    /// The dependences, or the first one that failed its checks.
+    deps: Member<Result<Vec<Dependence>, JsonError>>,
+}
+
+impl TaskFields {
+    fn new(i: usize, object: bool) -> TaskFields {
+        TaskFields {
+            i,
+            object,
+            id: Member::Missing,
+            kernel: Member::Missing,
+            duration: Member::Missing,
+            deps: Member::Missing,
+        }
+    }
+
+    fn from_value(tv: &Value, i: usize) -> TaskFields {
+        let Value::Obj(t) = tv else {
+            return TaskFields::new(i, false);
+        };
+        let deps = match t.get("deps") {
+            None => Member::Missing,
+            Some(Value::Arr(items)) => Member::Is(
+                items
+                    .iter()
+                    .map(|d| {
+                        let fields = d.as_obj().map(|d| {
+                            let dir = match d.get("dir") {
+                                None => Member::Missing,
+                                Some(Value::Str(s)) => Member::Is(Cow::Borrowed(s.as_str())),
+                                Some(_) => Member::Wrong,
+                            };
+                            (int_member(d.get("addr")), dir)
+                        });
+                        dependence(fields, i)
+                    })
+                    .collect(),
+            ),
+            Some(_) => Member::Wrong,
+        };
+        TaskFields {
+            i,
+            object: true,
+            id: int_member(t.get("id")),
+            kernel: int_member(t.get("kernel")),
+            duration: int_member(t.get("duration")),
+            deps,
+        }
+    }
+
+    /// Reads one value of any type as task `i`. A value that is not a
+    /// task object still reads; [`TaskFields::check`] reports it.
+    ///
+    /// # Errors
+    ///
+    /// Only malformed JSON.
+    pub fn read(r: &mut JsonReader<'_>, i: usize) -> Result<TaskFields, JsonError> {
+        if r.peek() != Some(b'{') {
+            r.value()?;
+            return Ok(TaskFields::new(i, false));
+        }
+        let mut t = TaskFields::new(i, true);
+        r.object(|r, key| {
+            match &*key {
+                "id" => t.id = int_member(Some(&r.value()?)),
+                "kernel" => t.kernel = int_member(Some(&r.value()?)),
+                "duration" => t.duration = int_member(Some(&r.value()?)),
+                "deps" if r.peek() == Some(b'[') => {
+                    let mut deps = Ok(Vec::new());
+                    r.array(|r| {
+                        let d = read_dependence(r, i)?;
+                        if let Ok(list) = &mut deps {
+                            match d {
+                                Ok(d) => list.push(d),
+                                Err(e) => deps = Err(e),
+                            }
+                        }
+                        Ok(())
+                    })?;
+                    t.deps = Member::Is(deps);
+                }
+                "deps" => {
+                    r.value()?;
+                    t.deps = Member::Wrong;
+                }
+                _ => {
+                    r.value()?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(t)
+    }
+
+    /// Runs the task checks in order and builds the task.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failed check: not an object, a missing or
+    /// mistyped member, an id past 32 bits or a kernel past 16, a bad
+    /// dependence, or more than [`MAX_DEPS_PER_TASK`] dependences.
+    pub fn check(self) -> Result<TaskDescriptor, JsonError> {
+        let i = self.i;
+        if !self.object {
+            return Err(bad(format!("task {i} must be an object")));
+        }
+        let id = self
+            .id
+            .get("task missing id", "task id must be a non-negative integer")?;
+        if id > u32::MAX as u64 {
+            return Err(bad(format!("task {i} id {id} exceeds 32 bits")));
+        }
+        let kernel = match self.kernel {
+            Member::Missing => 0,
+            Member::Wrong => return Err(bad("task kernel must be a non-negative integer")),
+            Member::Is(k) => k,
+        };
+        if kernel > u16::MAX as u64 {
+            return Err(bad(format!("task {i} kernel {kernel} out of range")));
+        }
+        let duration = self.duration.get(
+            "task missing duration",
+            "task duration must be a non-negative integer",
+        )?;
+        // The outer error is the list's type, the inner its first bad
+        // dependence.
+        let deps = self
+            .deps
+            .get("missing field task deps", "task deps must be an array")??;
+        if deps.len() > MAX_DEPS_PER_TASK {
+            return Err(bad(format!(
+                "task {i} has {} dependences, hardware limit is {MAX_DEPS_PER_TASK}",
+                deps.len(),
+            )));
+        }
+        // TaskDescriptor::new re-merges duplicate addresses, which is a
+        // no-op for encoder-produced JSON and a sanitizer for hand-written
+        // inputs.
+        Ok(TaskDescriptor::new(
+            TaskId::new(id as u32),
+            KernelClass(kernel as u16),
+            deps,
+            duration,
+        ))
+    }
+}
+
+/// Reads one dependence of task `i`; the inner result is its checks'.
+fn read_dependence(
+    r: &mut JsonReader<'_>,
+    i: usize,
+) -> Result<Result<Dependence, JsonError>, JsonError> {
+    if r.peek() != Some(b'{') {
+        r.value()?;
+        return Ok(dependence(None, i));
+    }
+    let (mut addr, mut dir) = (Member::Missing, Member::Missing);
+    r.object(|r, key| {
+        match &*key {
+            "addr" => addr = int_member(Some(&r.value()?)),
+            "dir" if r.peek() == Some(b'"') => dir = Member::Is(r.string()?),
+            "dir" => {
+                r.value()?;
+                dir = Member::Wrong;
+            }
+            _ => {
+                r.value()?;
+            }
+        }
+        Ok(())
+    })?;
+    Ok(dependence(Some((addr, dir)), i))
+}
+
+/// The checks of one dependence of task `i`, given its `addr` and `dir`
+/// members, or `None` if it is not an object.
+fn dependence(
+    fields: Option<(Member<u64>, Member<Cow<'_, str>>)>,
+    i: usize,
+) -> Result<Dependence, JsonError> {
+    let Some((addr, dir)) = fields else {
+        return Err(bad(format!("dependence of task {i} must be an object")));
+    };
+    let addr = addr.get(
+        "dep missing addr",
+        "dep addr must be a non-negative integer",
+    )?;
+    let dir = match &*dir.get("dep missing dir", "dep dir must be a string")? {
+        "in" => Direction::In,
+        "out" => Direction::Out,
+        "inout" => Direction::InOut,
+        other => return Err(bad(format!("unknown dependence direction '{other}'"))),
+    };
+    Ok(Dependence::new(addr, dir))
+}
+
+/// Decodes one task descriptor from its parsed JSON object. `i` labels
+/// errors ("task {i} ..."); the caller checks id ordering and kernel-table
+/// bounds where those constraints apply.
+pub fn task_from_value(tv: &Value, i: usize) -> Result<TaskDescriptor, JsonError> {
+    TaskFields::from_value(tv, i).check()
 }
 
 /// Decodes a trace from its JSON encoding.
@@ -618,6 +909,19 @@ mod tests {
             "[{\"k\":".repeat(50_000),
         ] {
             assert!(parse_json(&doc).is_err());
+        }
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse_json(r#""\u0041\u00e9""#), Ok(Value::Str("Aé".into())));
+        // A sign is not a hex digit, though `from_str_radix` accepts one.
+        for doc in [r#""\u+041""#, r#""\u-041""#, r#""\u004G""#, r#""\u12""#] {
+            let err = parse_json(doc).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                ("invalid \\u escape", 3)
+            );
         }
     }
 

@@ -35,7 +35,8 @@ mod trace;
 pub use graph::{ParallelismProfile, TaskGraph};
 pub use journal::{JournalOp, SessionJournal};
 pub use json::{
-    json_escape, parse_json, task_from_value, task_to_json, JsonError, Value, MAX_JSON_DEPTH,
+    json_escape, parse_json, task_from_value, task_to_json, JsonError, JsonReader, TaskFields,
+    Value, MAX_JSON_DEPTH,
 };
 pub use snap::SnapError;
 pub use task::{Dependence, Direction, KernelClass, TaskDescriptor, TaskId, MAX_DEPS_PER_TASK};
