@@ -39,6 +39,9 @@ pub struct DisjointSlice<'a, T> {
 // sound. `T: Send` is required because elements are mutated from (and
 // may be dropped on) threads other than the owner's.
 unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
+// SAFETY: moving the wrapper to another thread moves only the pointer
+// and length of a slice it borrows mutably for `'a`, like sending the
+// `&'a mut [T]` itself, which is `Send` for `T: Send`.
 unsafe impl<T: Send> Send for DisjointSlice<'_, T> {}
 
 impl<'a, T> DisjointSlice<'a, T> {

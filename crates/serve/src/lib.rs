@@ -22,9 +22,10 @@
 //!   ([`Service::flush_journals`], [`Service::new`]).
 //! * [`ServeHandle`] ([`proto`]) — the line-delimited JSON protocol
 //!   executed in-process: what the wire speaks, minus the socket.
-//! * [`serve`] / [`serve_on`] ([`server`]) — the std-only nonblocking TCP
-//!   front end with graceful shutdown (close listener, finish in-flight
-//!   steps, flush journals).
+//! * [`serve`] / [`serve_on`] ([`server`]) — the std-only TCP front end,
+//!   one `poll(2)` per pass over nonblocking sockets (unix targets), with
+//!   graceful shutdown (close listener, finish in-flight steps, flush
+//!   journals).
 //!
 //! # Example
 //!

@@ -474,6 +474,7 @@ pub struct Service {
     failed_total: u64,
     peak_tenants: u64,
     checkpoints_total: u64,
+    connections_refused: u64,
     recovery_errors: Vec<(String, String)>,
     checkpoint_errors: Vec<(String, String)>,
 }
@@ -503,6 +504,7 @@ impl Service {
             failed_total: 0,
             peak_tenants: 0,
             checkpoints_total: 0,
+            connections_refused: 0,
             recovery_errors: Vec::new(),
             checkpoint_errors: Vec::new(),
         };
@@ -932,6 +934,12 @@ impl Service {
         }
     }
 
+    /// Counts one connection the TCP front end refused because it was
+    /// serving its most clients (`serve.connections_refused`).
+    pub(crate) fn count_refused_connection(&mut self) {
+        self.connections_refused += 1;
+    }
+
     /// Drains the scrape snapshot: service gauges/counters plus each
     /// tenant's timeline samples since the previous scrape.
     pub fn scrape(&mut self) -> Scrape {
@@ -955,7 +963,12 @@ impl Service {
             .counter("serve.tenants_opened", self.opened_total, MergeRule::Sum)
             .counter("serve.tenants_closed", self.closed_total, MergeRule::Sum)
             .counter("serve.tenants_failed", self.failed_total, MergeRule::Sum)
-            .counter("serve.checkpoints", self.checkpoints_total, MergeRule::Sum);
+            .counter("serve.checkpoints", self.checkpoints_total, MergeRule::Sum)
+            .counter(
+                "serve.connections_refused",
+                self.connections_refused,
+                MergeRule::Sum,
+            );
         let tenants = self
             .tenants
             .iter_mut()

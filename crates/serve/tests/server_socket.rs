@@ -2,17 +2,19 @@
 //! end to end and shuts down gracefully — listener closed, in-flight
 //! steps finished, journals flushed — both on a wire `shutdown` request
 //! and on the SIGTERM-equivalent [`ServerHandle::shutdown`]. A client
-//! cannot make it hold unbounded input or output, or hang its shutdown.
+//! cannot make it hold unbounded input or output, hang its shutdown or
+//! make it spin. The front end is unix-only.
+#![cfg(unix)]
 
 use picos_backend::{Admission, BackendSpec};
-use picos_serve::{schedule_digest, serve, Request, ServeConfig, Service, TenantSpec};
+use picos_serve::{schedule_digest, serve, serve_on, Request, ServeConfig, Service, TenantSpec};
 use picos_trace::rng::SplitMix64;
 use picos_trace::{gen, task_to_json, Trace, Value, MAX_JSON_DEPTH};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A fresh scratch directory under the system temp dir.
@@ -34,8 +36,11 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
+    fn connect(addr: SocketAddr) -> Client {
+        Client::new(TcpStream::connect(addr).expect("connect"))
+    }
+
+    fn new(stream: TcpStream) -> Client {
         Client {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
@@ -266,6 +271,39 @@ fn overlong_line_is_answered_once_and_the_connection_kept() {
     server.shutdown().unwrap();
 }
 
+/// Connects a client that pipelines `request` and never reads, and
+/// returns it once its writes have been refused for half a second: the
+/// server has stopped reading it. Panics if the server takes 64 MiB
+/// without pushing back.
+fn push_back(addr: SocketAddr, request: &Request) -> TcpStream {
+    let hog = TcpStream::connect(addr).unwrap();
+    hog.set_nonblocking(true).unwrap();
+    let payload = format!("{}\n", request.to_line()).repeat(4096).into_bytes();
+    let (mut pos, mut sent) = (0, 0usize);
+    let mut refused_since: Option<Instant> = None;
+    loop {
+        assert!(
+            sent <= 64 << 20,
+            "the server read {sent} bytes without pushing back"
+        );
+        match (&hog).write(&payload[pos..]) {
+            Ok(n) => {
+                sent += n;
+                pos = (pos + n) % payload.len();
+                refused_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let since = *refused_since.get_or_insert_with(Instant::now);
+                if since.elapsed() > Duration::from_millis(500) {
+                    return hog;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("hog write: {e}"),
+        }
+    }
+}
+
 /// A client that pipelines requests and never reads cannot make the
 /// server hold unbounded output or hang its shutdown. Once the client's
 /// unsent responses pass the cap the server stops reading it, so its
@@ -307,39 +345,7 @@ fn a_client_that_never_reads_is_pushed_back_and_cannot_hang_shutdown() {
         });
     }
 
-    // The hog pipelines `stats` requests until its writes have been
-    // refused for half a second: the server has stopped reading it.
-    let hog = TcpStream::connect(addr).unwrap();
-    hog.set_nonblocking(true).unwrap();
-    let line = format!("{}\n", Request::Stats { tenant: "t".into() }.to_line());
-    let payload = line.repeat(4096).into_bytes();
-    let (mut pos, mut sent) = (0, 0usize);
-    let mut refused_since: Option<Instant> = None;
-    let pushed_back = loop {
-        // A server that reads without bound never pushes back.
-        if sent > 64 << 20 {
-            break false;
-        }
-        match (&hog).write(&payload[pos..]) {
-            Ok(n) => {
-                sent += n;
-                pos = (pos + n) % payload.len();
-                refused_since = None;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let since = *refused_since.get_or_insert_with(Instant::now);
-                if since.elapsed() > Duration::from_millis(500) {
-                    break true;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => panic!("hog write: {e}"),
-        }
-    };
-    assert!(
-        pushed_back,
-        "the server read {sent} bytes without pushing back"
-    );
+    let hog = push_back(addr, &Request::Stats { tenant: "t".into() });
     let v = c.call_ok(&Request::Stats { tenant: "t".into() });
     assert_eq!(
         field(v.as_obj().unwrap().get("stats").unwrap(), "submitted"),
@@ -480,25 +486,59 @@ fn garbage(seed: u64, n: usize, tenant: &str, spec: &TenantSpec, trace: &Trace) 
 }
 
 /// One connection sends SplitMix64 garbage while a second runs a valid
-/// tenant's whole conversation. Every garbage line is answered with
-/// exactly one `ok:false` line, the server keeps serving, and the valid
-/// tenant closes with its solo digest.
+/// tenant's whole conversation. Beside them a third sends a line that
+/// never ends, a fourth pipelines requests and never reads, and 256 more
+/// stay idle. Every garbage line is answered with exactly one `ok:false`
+/// line and the endless line with one, the server keeps serving, the
+/// valid tenant closes with its solo digest, and the process's resident
+/// memory grows by less than 64 MiB.
 #[test]
 fn garbage_on_one_connection_leaves_a_valid_tenant_bit_exact() {
+    #[cfg(target_os = "linux")]
+    let rss_before = vm_rss_bytes();
     let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
     let addr = server.addr();
     let spec = TenantSpec::new(BackendSpec::Nanos, 4);
     let trace = gen::stream(gen::StreamConfig::heavy(40));
     let lines = garbage(19, 2000, "valid", &spec, &trace);
+    let mut idle: Vec<TcpStream> = (0..256)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    let hog = push_back(
+        addr,
+        &Request::Stats {
+            tenant: "hog".into(),
+        },
+    );
+    let endless = TcpStream::connect(addr).unwrap();
+    let valid_closed = AtomicBool::new(false);
 
     let closed = std::thread::scope(|s| {
+        // The endless line: `x` bytes and no newline, from its first 2 MiB
+        // until the valid tenant has closed, 64 MiB at most. A server that
+        // stops reading it fails the write instead of hanging the test.
+        let mut w = endless.try_clone().unwrap();
+        w.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        let stop = &valid_closed;
+        s.spawn(move || {
+            let chunk = [b'x'; 64 * 1024];
+            for i in 0..1024 {
+                if i >= 32 && stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                w.write_all(&chunk).unwrap();
+            }
+        });
+
         let valid = s.spawn(|| {
             let mut c = Client::connect(addr);
             // A missing answer fails the test instead of hanging it.
             c.writer
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
-            run_tenant(&mut c, "valid", &spec, &trace)
+            let closed = run_tenant(&mut c, "valid", &spec, &trace);
+            valid_closed.store(true, Ordering::Relaxed);
+            closed
         });
 
         let mut g = Client::connect(addr);
@@ -525,5 +565,160 @@ fn garbage_on_one_connection_leaves_a_valid_tenant_bit_exact() {
         valid.join().unwrap()
     });
     assert_matches_solo(&closed, &spec, &trace);
+
+    // The endless line was answered once, when it passed the line cap.
+    let mut answers = BufReader::new(&endless);
+    let mut line = String::new();
+    endless
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    answers.read_line(&mut line).unwrap();
+    assert!(line.contains("request line exceeds"), "{line}");
+    line.clear();
+    endless
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    assert!(
+        answers.read_line(&mut line).is_err(),
+        "the endless line got a second answer: {line:?}"
+    );
+    // An idle connection is still served.
+    let mut last = Client::new(idle.pop().unwrap());
+    last.writer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    last.call_ok(&Request::Scrape);
+    #[cfg(target_os = "linux")]
+    {
+        let grown = vm_rss_bytes().saturating_sub(rss_before);
+        assert!(grown < 64 << 20, "resident memory grew by {grown} bytes");
+    }
+    drop((hog, idle));
     server.shutdown().unwrap();
+}
+
+/// Writes `payload` on a fresh connection, half-closes it, waits `delay`
+/// and reads to EOF; returns the number of response lines. The writes run
+/// beside the reads, so a server that stops reading this client until it
+/// reads cannot deadlock the test.
+fn answers_after_half_close(addr: SocketAddr, payload: Vec<u8>, delay: Duration) -> usize {
+    let stream = TcpStream::connect(addr).unwrap();
+    // A server that never closes the connection fails the test instead
+    // of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        writer.write_all(&payload).unwrap();
+        writer.shutdown(Shutdown::Write).unwrap();
+    });
+    std::thread::sleep(delay);
+    let mut n = 0;
+    for line in BufReader::new(&stream).lines() {
+        line.expect("read a response");
+        n += 1;
+    }
+    sender.join().unwrap();
+    n
+}
+
+/// A client that half-closes after its requests gets every answer before
+/// the connection closes, also when its requests total exactly 64 KiB:
+/// a multiple of the server's read size, so the EOF arrives in a read of
+/// its own.
+#[test]
+fn a_half_closed_client_gets_every_answer() {
+    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let mut line = Request::Stats { tenant: "t".into() }.to_line();
+    line.push_str(&" ".repeat(63 - line.len()));
+    line.push('\n');
+    let payload = line.repeat(1024).into_bytes();
+    assert_eq!(payload.len(), 64 << 10);
+    assert_eq!(
+        answers_after_half_close(server.addr(), payload, Duration::ZERO),
+        1024
+    );
+    server.shutdown().unwrap();
+}
+
+/// A client that half-closes after a batch whose answers back up in the
+/// server, and reads only later, still gets every answer: 5,000 `stats`
+/// requests naming 1,000-byte tenants, about 5 MB each way, read after
+/// 500 ms.
+#[test]
+fn a_half_closed_client_that_reads_late_gets_every_answer() {
+    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let stats = Request::Stats {
+        tenant: "n".repeat(1000),
+    };
+    let payload = format!("{}\n", stats.to_line()).repeat(5000).into_bytes();
+    assert_eq!(
+        answers_after_half_close(server.addr(), payload, Duration::from_millis(500)),
+        5000
+    );
+    server.shutdown().unwrap();
+}
+
+/// A client pushed back by the output cap keeps unread input, so its
+/// socket stays readable: the loop must wait for it to take output, not
+/// spin. The serving thread uses under half a second of CPU in the
+/// second after the push-back.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_pushed_back_client_does_not_make_the_loop_spin() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (stat_tx, stat_rx) = mpsc::channel();
+    let server = std::thread::spawn({
+        let stop = Arc::clone(&stop);
+        move || {
+            // This thread's own stat file: the other tests of this
+            // process do not count.
+            let me = std::fs::read_link("/proc/thread-self").unwrap();
+            stat_tx
+                .send(Path::new("/proc").join(me).join("stat"))
+                .unwrap();
+            serve_on(ServeConfig::default(), listener, &stop)
+        }
+    });
+    let stat = stat_rx.recv().unwrap();
+    let hog = push_back(addr, &Request::Scrape);
+    let before = cpu_seconds(&stat);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = cpu_seconds(&stat) - before;
+    drop(hog);
+    stop.store(true, Ordering::SeqCst);
+    server.join().unwrap().unwrap();
+    assert!(
+        spent < 0.5,
+        "the serving thread used {spent:.2} s of CPU in 1 s beside a pushed-back client"
+    );
+}
+
+/// CPU seconds (user + system) from a `/proc` stat file: fields 14 and
+/// 15, in ticks of 1/100 s (`USER_HZ`).
+#[cfg(target_os = "linux")]
+fn cpu_seconds(stat: &Path) -> f64 {
+    let text = std::fs::read_to_string(stat).unwrap();
+    // Field 2, the command name, is parenthesised and may hold spaces.
+    let fields: Vec<&str> = text[text.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks as f64 / 100.0
+}
+
+/// This process's resident set size, in bytes.
+#[cfg(target_os = "linux")]
+fn vm_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .expect("VmRSS in /proc/self/status");
+    kib << 10
 }
